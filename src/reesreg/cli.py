@@ -22,7 +22,8 @@ from .errors import (
 )
 from .graphs import GENERATOR_FAMILIES, Graph, generate, parse_graph, write_graph
 from .polytope import cone_graph, halfspace_system, interior_lattice_points, lattice_points
-from .report import build_report
+from .rees import regularity
+from .report import build_report, oracle_dict, regularity_dict, run_oracle
 
 EXIT_OK = 0
 EXIT_CORPUS_FAILURE = 1
@@ -95,31 +96,26 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_regularity(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    report = build_report(g, with_oracle=args.oracle)
+    reg = regularity(g)
+    oracle, note = run_oracle(g, reg) if args.oracle else (None, None)
     if args.json:
-        out = {
-            "regularity": report.to_dict()["regularity"],
-            "oracle": report.to_dict()["oracle"],
-            "oracle_note": report.oracle_note,
-        }
-        if not args.oracle:
-            del out["oracle"]
-            del out["oracle_note"]
+        out = {"regularity": regularity_dict(reg)}
+        if args.oracle:
+            out["oracle"] = oracle_dict(oracle)
+            out["oracle_note"] = note
         print(json.dumps(out, indent=2))
         return EXIT_OK
-    reg = report.regularity
     print(f"status       {reg.status.value}")
     print(f"mat          {reg.mat}")
     print(f"tutte-berge  {reg.tutte_berge}")
     if reg.reg is not None:
         print(f"reg          {reg.reg}")
     if args.oracle:
-        if report.oracle is not None:
-            agree = report.oracle.reg == reg.reg
-            print(f"oracle       q0 {report.oracle.q0}, reg {report.oracle.reg}")
-            print(f"agreement    {agree}")
+        if oracle is not None:
+            print(f"oracle       q0 {oracle.q0}, reg {oracle.reg}")
+            print(f"agreement    {oracle.reg == reg.reg}")
         else:
-            print(f"oracle       {report.oracle_note}")
+            print(f"oracle       {note}")
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .decomposition import is_tutte_berge, tutte_berge_bruteforce
+from .decomposition import tutte_berge_bruteforce
 from .graphs import Graph
 from .polytope import compute_q0
 from .rees import RegularityStatus, regularity
@@ -100,7 +100,8 @@ class GraphCheck:
 def check_graph(g: Graph) -> GraphCheck:
     """Run both corpus assertions on one graph."""
     failures = []
-    fast = is_tutte_berge(g)
+    reg = regularity(g)
+    fast = reg.tutte_berge
     witness = tutte_berge_bruteforce(g)
     if fast != (witness is not None):
         failures.append(
@@ -111,7 +112,6 @@ def check_graph(g: Graph) -> GraphCheck:
                 detail=f"fast says {fast}, brute-force witness is {witness}",
             )
         )
-    reg = regularity(g)
     if reg.status is RegularityStatus.COMPUTED:
         oracle = compute_q0(g)
         if oracle.reg != reg.reg:

@@ -1,9 +1,9 @@
 """Gallai-Edmonds decomposition and the Tutte-Berge witness equation.
 
-D(G) is the set of vertices missed by at least one maximum matching, found
-here by the deletion characterization: v is in D(G) iff deleting v does not
-drop the matching number.  A(G) collects the outside neighbors of D, and
-C(G) is everything else.
+D(G) is the set of vertices missed by at least one maximum matching: the
+outer vertices of the failed alternating searches from the exposed vertices
+of one maximum matching (Edmonds 1965; Lovasz-Plummer, Matching Theory,
+ch. 3).  A(G) collects the outside neighbors of D; C(G) is everything else.
 
 A graph is called Tutte-Berge when some independent set T attains
 |T| = |N(T)| + |V| - 2 mat(G), the maximum possible value.  That holds
@@ -28,7 +28,7 @@ from .graphs import (
     max_independent_set,
     neighbor_mask,
 )
-from .matching import matching_number
+from .matching import _d_mask, matching_number, max_matching
 
 INDEPENDENT_ENUM_LIMIT = 20
 
@@ -46,6 +46,16 @@ class GallaiEdmonds:
     c_set: VertexSet
     d_components: tuple[VertexSet, ...]
 
+    @property
+    def deficiency(self) -> int:
+        """|V| - 2 mat(G), which equals c(D) - |A|."""
+        return len(self.d_components) - len(self.a_set)
+
+    @property
+    def tutte_berge(self) -> bool:
+        """Every component of D is a single vertex."""
+        return all(len(c) == 1 for c in self.d_components)
+
 
 @dataclass(frozen=True)
 class TutteBergeWitness:
@@ -61,16 +71,10 @@ def deficiency(g: Graph) -> int:
 
 
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:
-    """Compute D/A/C by n + 1 matching runs (one per deleted vertex)."""
-    mat = matching_number(g)
-    d_mask = 0
-    all_mask = g.full_mask
-    for v in g.vertices:
-        rest, _ = induced_subgraph(g, labels_of(all_mask & ~(1 << v)))
-        if matching_number(rest) == mat:
-            d_mask |= 1 << v
+    """D/A/C from one maximum matching and one search per exposed vertex."""
+    d_mask = _d_mask(g, max_matching(g))
     a_mask = neighbor_mask(g, d_mask) & ~d_mask
-    c_mask = all_mask & ~d_mask & ~a_mask
+    c_mask = g.full_mask & ~d_mask & ~a_mask
     comps = tuple(labels_of(m) for m in components_within(g, d_mask))
     return GallaiEdmonds(
         d_set=labels_of(d_mask),
@@ -87,7 +91,7 @@ def is_tutte_berge(g: Graph) -> bool:
     deficiency equation; the empty graph and perfect-matching graphs pass
     with the empty witness.
     """
-    return all(len(c) == 1 for c in gallai_edmonds(g).d_components)
+    return gallai_edmonds(g).tutte_berge
 
 
 def tutte_berge_bruteforce(g: Graph) -> TutteBergeWitness | None:
@@ -114,28 +118,29 @@ def tutte_berge_witness(g: Graph) -> TutteBergeWitness | None:
     matching, and otherwise D of the component together with maximum
     independent sets of the bipartite components of its C part.
     """
-    if not is_tutte_berge(g):
+    return _witness(g, gallai_edmonds(g))
+
+
+def _witness(g: Graph, ge: GallaiEdmonds) -> TutteBergeWitness | None:
+    # The decomposition restricts to each component, so D and C of a
+    # component are D(G) and C(G) intersected with it.
+    if not ge.tutte_berge:
         return None
+    d_mask = mask_of(ge.d_set)
     picked: list[int] = []
-    for comp_mask in components_within(g, g.full_mask):
-        comp, back = induced_subgraph(g, labels_of(comp_mask))
-        part = _component_witness(comp)
-        picked.extend(back[v] for v in part)
-    return TutteBergeWitness(t_set=tuple(sorted(picked)), deficiency=deficiency(g))
-
-
-def _component_witness(comp: Graph) -> VertexSet:
-    if mask_is_bipartite(comp, comp.full_mask):
-        return max_independent_set(comp)
-    if 2 * matching_number(comp) == comp.n:
-        return ()
-    ge = gallai_edmonds(comp)
-    picked = list(ge.d_set)
-    for part_mask in components_within(comp, mask_of(ge.c_set)):
-        if mask_is_bipartite(comp, part_mask):
-            sub, back = induced_subgraph(comp, labels_of(part_mask))
-            picked.extend(back[v] for v in max_independent_set(sub))
-    return tuple(sorted(picked))
+    bipartite_parts = []
+    for comp in components_within(g, g.full_mask):
+        if mask_is_bipartite(g, comp):
+            bipartite_parts.append(comp)
+        elif comp & d_mask:
+            picked.extend(labels_of(comp & d_mask))
+            for part in components_within(g, comp & mask_of(ge.c_set)):
+                if mask_is_bipartite(g, part):
+                    bipartite_parts.append(part)
+    for part in bipartite_parts:
+        sub, back = induced_subgraph(g, labels_of(part))
+        picked.extend(back[v] for v in max_independent_set(sub))
+    return TutteBergeWitness(t_set=tuple(sorted(picked)), deficiency=ge.deficiency)
 
 
 __all__ = [

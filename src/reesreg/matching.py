@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InstanceTooLargeError
-from .graphs import Graph, VertexSet, independence_number, induced_subgraph, labels_of
+from .graphs import Graph, VertexSet, independence_number, mask_of
 
 BRUTEFORCE_EDGE_LIMIT = 26
 
@@ -50,10 +50,24 @@ def matching_number(g: Graph) -> int:
     return max_matching(g).size
 
 
-def _try_augment(g: Graph, mate: list[int], root: int) -> None:
+def _d_mask(g: Graph, matching: Matching) -> int:
+    """Mask of D(G), the vertices missed by some maximum matching: the
+    outer vertices of the failed searches from the exposed vertices of
+    `matching`, which must be maximum (Edmonds 1965)."""
+    mate = [0] * (g.n + 1)
+    for u, v in matching.edges:
+        mate[u], mate[v] = v, u
+    d = 0
+    for root in g.vertices:
+        if mate[root] == 0:
+            d |= _try_augment(g, mate, root)
+    return d
+
+
+def _try_augment(g: Graph, mate: list[int], root: int) -> int | None:
     # One phase of the blossom search: grow an alternating BFS forest from
     # `root`, contracting odd cycles via the `base` array, and flip the first
-    # augmenting path found.
+    # augmenting path found (None), or else return the outer (`used`) mask.
     n = g.n
     parent = [0] * (n + 1)
     base = list(range(n + 1))
@@ -110,9 +124,10 @@ def _try_augment(g: Graph, mate: list[int], root: int) -> None:
                         mate[pv] = to
                         mate[to] = pv
                         to = next_exposed
-                    return
+                    return None
                 used[mate[to]] = True
                 queue.append(mate[to])
+    return mask_of(v for v in g.vertices if used[v])
 
 
 def matching_number_bruteforce(g: Graph) -> int:
@@ -151,24 +166,11 @@ def has_perfect_matching(g: Graph) -> bool:
 
 
 def is_factor_critical(g: Graph) -> bool:
-    """Does every single-vertex deletion leave a perfect matching?
-
-    False for even |V| (including n = 0); a single vertex counts as
-    factor-critical.
-    """
-    if g.n % 2 == 0:
-        return False
-    if g.n == 1:
-        return True
-    target = (g.n - 1) // 2
-    if matching_number(g) < target:
-        return False
-    all_mask = g.full_mask
-    for v in g.vertices:
-        rest, _ = induced_subgraph(g, labels_of(all_mask & ~(1 << v)))
-        if matching_number(rest) < target:
-            return False
-    return True
+    """Does every single-vertex deletion leave a perfect matching?  That is,
+    a maximum matching misses one vertex and D(G) = V.  False for even |V|
+    (including n = 0); a single vertex counts as factor-critical."""
+    m = max_matching(g)
+    return 2 * m.size == g.n - 1 and _d_mask(g, m) == g.full_mask
 
 
 def is_konig(g: Graph) -> bool:

@@ -29,6 +29,7 @@ from .graphs import (
     labels_of,
     mask_is_bipartite,
     mask_of,
+    neighbor_mask,
 )
 from .matching import matching_number
 from .rees import is_rees_normal
@@ -152,7 +153,7 @@ def halfspace_system(h: Graph) -> HalfSpaceSystem:
         raise NoOddCycleError("half-space description needs an odd cycle")
     coords = tuple(v for v in h.vertices if is_regular_vertex(h, v))
     sets = tuple(
-        (t, labels_of(_neighbor_mask_of(h, t)))
+        (t, labels_of(neighbor_mask(h, mask_of(t))))
         for t in fundamental_independent_sets(h)
     )
     for i in coords:
@@ -172,13 +173,6 @@ def halfspace_system(h: Graph) -> HalfSpaceSystem:
     return HalfSpaceSystem(
         ambient_n=h.n, coord_constraints=coords, set_constraints=sets
     )
-
-
-def _neighbor_mask_of(h: Graph, t: VertexSet) -> int:
-    m = 0
-    for v in t:
-        m |= h.adj_bits[v]
-    return m
 
 
 def point_membership(

@@ -13,9 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .decomposition import is_tutte_berge
-from .graphs import Graph, components_within, iter_chordless_odd_cycles, mask_is_bipartite, mask_of
-from .matching import matching_number
+from .decomposition import GallaiEdmonds, gallai_edmonds
+from .graphs import Graph, iter_chordless_odd_cycles, mask_of
 
 
 class RegularityStatus(enum.Enum):
@@ -66,24 +65,24 @@ def satisfies_odd_cycle_condition(g: Graph) -> bool:
 
 
 def is_rees_normal(g: Graph) -> bool:
-    """Odd cycle condition plus at most one non-bipartite component."""
-    if not satisfies_odd_cycle_condition(g):
-        return False
-    odd_components = sum(
-        1
-        for comp in components_within(g, g.full_mask)
-        if not mask_is_bipartite(g, comp)
-    )
-    return odd_components <= 1
+    """Odd cycle condition plus at most one non-bipartite component.  The
+    condition implies the second conjunct: odd cycles in two different
+    components are vertex-disjoint and no edge joins them."""
+    return satisfies_odd_cycle_condition(g)
 
 
 def regularity(g: Graph) -> RegularityResult:
     """Closed-form regularity of the Rees algebra of the edge ideal of g."""
-    mat = matching_number(g)
-    tb = is_tutte_berge(g)
+    return _closed_form(g, gallai_edmonds(g), g.m >= 2 and is_rees_normal(g))
+
+
+def _closed_form(g: Graph, ge: GallaiEdmonds, normal: bool) -> RegularityResult:
+    # The status rule.  `normal` is read only when g has two edges or more.
+    mat = (g.n - ge.deficiency) // 2
+    tb = ge.tutte_berge
     if g.m < 2:
         return RegularityResult(RegularityStatus.TOO_FEW_EDGES, mat, tb, None)
-    if not is_rees_normal(g):
+    if not normal:
         return RegularityResult(RegularityStatus.NOT_NORMAL, mat, tb, None)
     return RegularityResult(
         RegularityStatus.COMPUTED, mat, tb, mat if tb else mat + 1

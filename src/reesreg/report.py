@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .decomposition import gallai_edmonds, tutte_berge_witness
+from .decomposition import _witness, gallai_edmonds
 from .graphs import Graph, VertexSet, is_bipartite
-from .matching import is_factor_critical, is_konig, matching_number
+from .matching import is_konig
 from .polytope import OracleResult, compute_q0
 from .rees import (
     RegularityResult,
     RegularityStatus,
-    is_rees_normal,
-    regularity,
+    _closed_form,
     satisfies_odd_cycle_condition,
 )
 
@@ -64,22 +63,9 @@ class ClassificationReport:
             },
             "odd_cycle_condition": self.odd_cycle_condition,
             "rees_normal": self.rees_normal,
-            "regularity": {
-                "status": self.regularity.status.value,
-                "mat": self.regularity.mat,
-                "tutte_berge": self.regularity.tutte_berge,
-                "reg": self.regularity.reg,
-            },
+            "regularity": regularity_dict(self.regularity),
             "tb_witness": list(self.tb_witness) if self.tb_witness is not None else None,
-            "oracle": (
-                {
-                    "q0": self.oracle.q0,
-                    "interior_witness": list(self.oracle.interior_witness),
-                    "reg": self.oracle.reg,
-                }
-                if self.oracle is not None
-                else None
-            ),
+            "oracle": oracle_dict(self.oracle),
             "oracle_note": self.oracle_note,
             "timings": dict(self.timings),
         }
@@ -131,6 +117,26 @@ class ClassificationReport:
         return cls.from_dict(json.loads(text))
 
 
+def regularity_dict(reg: RegularityResult) -> dict:
+    return {**asdict(reg), "status": reg.status.value}
+
+
+def oracle_dict(oracle: OracleResult | None) -> dict | None:
+    if oracle is None:
+        return None
+    return {**asdict(oracle), "interior_witness": list(oracle.interior_witness)}
+
+
+def run_oracle(g: Graph, reg: RegularityResult) -> tuple[OracleResult | None, str | None]:
+    """The oracle's result when the closed form `reg` of g is computed;
+    otherwise None and a note that says why the oracle was skipped."""
+    if reg.status is RegularityStatus.TOO_FEW_EDGES:
+        return None, "oracle skipped: graph has fewer than two edges"
+    if reg.status is RegularityStatus.NOT_NORMAL:
+        return None, "oracle skipped: Rees algebra is not normal"
+    return compute_q0(g), None
+
+
 def build_report(
     g: Graph, with_oracle: bool = False, with_witness: bool = False
 ) -> ClassificationReport:
@@ -139,24 +145,23 @@ def build_report(
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    mat = matching_number(g)
+    konig = is_konig(g)
     timings["matching"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
     ge = gallai_edmonds(g)
-    tb = all(len(c) == 1 for c in ge.d_components)
     timings["decomposition"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
+    # The odd cycle condition implies normality (see rees.is_rees_normal).
     occ = satisfies_odd_cycle_condition(g)
-    normal = is_rees_normal(g)
-    reg = regularity(g)
+    reg = _closed_form(g, ge, occ)
     timings["regularity"] = (time.perf_counter() - t0) * 1000.0
 
     tb_witness = None
     if with_witness:
         t0 = time.perf_counter()
-        w = tutte_berge_witness(g)
+        w = _witness(g, ge)
         tb_witness = w.t_set if w is not None else None
         timings["witness"] = (time.perf_counter() - t0) * 1000.0
 
@@ -164,29 +169,24 @@ def build_report(
     oracle_note = None
     if with_oracle:
         t0 = time.perf_counter()
-        if g.m < 2:
-            oracle_note = "oracle skipped: graph has fewer than two edges"
-        elif not normal:
-            oracle_note = "oracle skipped: Rees algebra is not normal"
-        else:
-            oracle = compute_q0(g)
+        oracle, oracle_note = run_oracle(g, reg)
         timings["oracle"] = (time.perf_counter() - t0) * 1000.0
 
     return ClassificationReport(
         n=g.n,
         m=g.m,
-        mat=mat,
-        deficiency=g.n - 2 * mat,
+        mat=reg.mat,
+        deficiency=ge.deficiency,
         bipartite=is_bipartite(g),
-        perfect_matching=2 * mat == g.n,
-        factor_critical=is_factor_critical(g),
-        konig=is_konig(g),
-        tutte_berge=tb,
+        perfect_matching=not ge.d_set,
+        factor_critical=len(ge.d_set) == g.n and len(ge.d_components) == 1,
+        konig=konig,
+        tutte_berge=reg.tutte_berge,
         ge_d=ge.d_set,
         ge_a=ge.a_set,
         ge_c=ge.c_set,
         odd_cycle_condition=occ,
-        rees_normal=normal,
+        rees_normal=occ,
         regularity=reg,
         tb_witness=tb_witness,
         oracle=oracle,

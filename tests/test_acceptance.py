@@ -13,6 +13,7 @@ import random
 import pytest
 
 from conftest import record_acceptance
+from reference import gallai_edmonds_by_deletion, is_factor_critical_by_deletion
 from reesreg import (
     Graph,
     RegularityStatus,
@@ -85,7 +86,7 @@ def _ge_violations(g: Graph, ge, matching, mat: int) -> list[str]:
     comp_of = {}
     for comp in ge.d_components:
         sub, _ = induced_subgraph(g, comp)
-        if len(comp) % 2 == 0 or not is_factor_critical(sub):
+        if len(comp) % 2 == 0 or not is_factor_critical_by_deletion(sub):
             bad.append("ge_item1")
         for v in comp:
             comp_of[v] = comp
@@ -171,9 +172,10 @@ def sweep_seven():
 @pytest.fixture(scope="module")
 def sweep_six():
     """One pass over every labeled graph with n <= 6: the decomposition
-    contract on the matching actually returned, the perfect-matching and
-    Konig specializations, and the matching additivity, component and
-    inheritance lemmas over every vertex split."""
+    contract on the matching actually returned, the decomposition and the
+    factor-critical test against their vertex-deletion references, the
+    perfect-matching and Konig specializations, and the matching
+    additivity, component and inheritance lemmas over every vertex split."""
     mat_memo: dict[Graph, int] = {}
     tb_memo: dict[Graph, bool] = {}
 
@@ -198,6 +200,8 @@ def sweep_six():
             "ge_item2",
             "ge_item3",
             "ge_item4",
+            "ge_reference",
+            "fc_reference",
             "pm_lemma",
             "pm_konig_tb",
             "component_lemma",
@@ -214,6 +218,10 @@ def sweep_six():
         matching = max_matching(g)
         for name in set(_ge_violations(g, ge, matching, mat)):
             buckets[name].append(g)
+        if ge != gallai_edmonds_by_deletion(g):
+            buckets["ge_reference"].append(g)
+        if is_factor_critical(g) != is_factor_critical_by_deletion(g):
+            buckets["fc_reference"].append(g)
         tb = all(len(c) == 1 for c in ge.d_components)
         tb_memo[g] = tb
 
@@ -474,7 +482,14 @@ def test_criterion_6_gallai_edmonds_contract(sweep_six):
         problems.extend(
             _bucket_problems(
                 sweep_six["buckets"],
-                ("ge_item1", "ge_item2", "ge_item3", "ge_item4"),
+                (
+                    "ge_item1",
+                    "ge_item2",
+                    "ge_item3",
+                    "ge_item4",
+                    "ge_reference",
+                    "fc_reference",
+                ),
             )
         )
         sampled = 0

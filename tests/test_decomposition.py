@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from reesreg import (
@@ -12,15 +14,18 @@ from reesreg import (
     disjoint_union,
     gallai_edmonds,
     independent_sets,
+    is_factor_critical,
     is_tutte_berge,
     matching_number,
     neighbor_set,
     paper_example,
     path,
+    random_graph,
     tutte_berge_bruteforce,
     tutte_berge_witness,
 )
 from reesreg.corpus import all_graphs
+from reference import gallai_edmonds_by_deletion, is_factor_critical_by_deletion
 
 
 def test_example_graph_decomposition():
@@ -141,3 +146,29 @@ def test_witness_sets_are_independent_in_stream():
     assert stream[0] == ()
     w = tutte_berge_bruteforce(g)
     assert w is not None and w.t_set == stream[0]
+
+
+def test_decomposition_matches_deletion_reference_seeded():
+    rng = random.Random(16)
+    for _ in range(400):
+        n = rng.randint(1, 16)
+        g = random_graph(n, rng.uniform(0.05, 0.6), seed=rng.randrange(1 << 30))
+        assert gallai_edmonds(g) == gallai_edmonds_by_deletion(g), g
+        assert is_factor_critical(g) == is_factor_critical_by_deletion(g), g
+
+
+def test_networkx_cross_check_large():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(200)
+    for i in range(80):
+        n = rng.randint(20, 40) if i % 2 else rng.randint(41, 200)
+        g = random_graph(n, rng.uniform(0.5, 4.0) / n, seed=rng.randrange(1 << 30))
+        ref = nx.Graph()
+        ref.add_nodes_from(g.vertices)
+        ref.add_edges_from(g.edges)
+        mat = matching_number(g)
+        assert mat == len(nx.max_weight_matching(ref, maxcardinality=True)), g
+        ge = gallai_edmonds(g)
+        assert 2 * mat == g.n - len(ge.d_components) + len(ge.a_set), g
+        if n <= 40:
+            assert ge == gallai_edmonds_by_deletion(g), g

@@ -162,6 +162,30 @@ def test_cli_regularity_json(tmp_path, capsys):
     assert "oracle" not in data
 
 
+def test_cli_regularity_skips_report_only_stages(tmp_path, monkeypatch, capsys):
+    def no_konig(g):
+        raise AssertionError("regularity must not run the Konig test")
+
+    monkeypatch.setattr("reesreg.report.is_konig", no_konig)
+    target = _write(tmp_path, "c5.txt", cycle(5))
+    assert main(["regularity", target, "--oracle"]) == 0
+    assert capsys.readouterr().out == (
+        "status       computed\n"
+        "mat          2\n"
+        "tutte-berge  False\n"
+        "reg          3\n"
+        "oracle       q0 3, reg 3\n"
+        "agreement    True\n"
+    )
+    tt = _write(tmp_path, "tt.txt", disjoint_union(cycle(3), cycle(3)))
+    assert main(["regularity", tt, "--oracle", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "regularity": {"status": "not_normal", "mat": 2, "tutte_berge": False, "reg": None},
+        "oracle": None,
+        "oracle_note": "oracle skipped: Rees algebra is not normal",
+    }
+
+
 def test_cli_ged_json(tmp_path, capsys):
     target = _write(tmp_path, "ex.txt", paper_example())
     assert main(["ged", target, "--json"]) == 0
