@@ -25,7 +25,6 @@ from .graphs import (
     labels_of,
     mask_is_bipartite,
     mask_of,
-    max_independent_set,
     neighbor_mask,
 )
 from .matching import _d_mask, matching_number, max_matching
@@ -138,9 +137,35 @@ def _witness(g: Graph, ge: GallaiEdmonds) -> TutteBergeWitness | None:
                 if mask_is_bipartite(g, part):
                     bipartite_parts.append(part)
     for part in bipartite_parts:
-        sub, back = induced_subgraph(g, labels_of(part))
-        picked.extend(back[v] for v in max_independent_set(sub))
+        picked.extend(_first_max_independent_bipartite(g, part))
     return TutteBergeWitness(t_set=tuple(sorted(picked)), deficiency=ge.deficiency)
+
+
+def _first_max_independent_bipartite(g: Graph, mask: int) -> list[int]:
+    """The lexicographically smallest maximum independent set of the
+    bipartite subgraph induced on `mask`, the one `max_independent_set`
+    returns.  Konig gives alpha = |S| - mat on every induced S, so a greedy
+    in ascending label order takes v exactly when removing N[v] from what
+    is left costs alpha one: one matching per vertex."""
+
+    def alpha(m: int) -> int:
+        sub, _ = induced_subgraph(g, labels_of(m))
+        return sub.n - matching_number(sub)
+
+    picked = []
+    rest = mask
+    left = alpha(rest)
+    for v in labels_of(mask):
+        if not rest >> v & 1:
+            continue
+        rest &= ~(1 << v)
+        without = rest & ~g.adj_bits[v]
+        # A vertex with no neighbor left is in every maximum independent set.
+        if without == rest or alpha(without) == left - 1:
+            picked.append(v)
+            rest = without
+            left -= 1
+    return picked
 
 
 __all__ = [

@@ -4,7 +4,8 @@
 contraction).  Roots are tried in ascending label order and adjacency is
 scanned in ascending label order, so the returned matching itself is
 deterministic, not just its size.  `matching_number_bruteforce` is the
-independent oracle: plain branch and bound over the edge list.
+independent oracle: plain branch and bound over the edge list.  The Konig
+test is a 2-SAT problem on one maximum matching.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InstanceTooLargeError
-from .graphs import Graph, VertexSet, independence_number, mask_of
+from .graphs import Graph, VertexSet, mask_of
 
 BRUTEFORCE_EDGE_LIMIT = 26
 
@@ -174,8 +175,76 @@ def is_factor_critical(g: Graph) -> bool:
 
 
 def is_konig(g: Graph) -> bool:
-    """Konig property: independence number + matching number = |V|."""
-    return independence_number(g) + matching_number(g) == g.n
+    """Konig property: independence number + matching number = |V|.
+
+    That is, some vertex cover has |M| vertices for a maximum matching M.
+    Such a cover holds exactly one endpoint of each M-edge and no exposed
+    vertex, so it is a 2-SAT assignment: variable i says the smaller end
+    of M-edge i is in the cover, and every edge of g must have an end in
+    it (Deming 1979; Sterboul 1979; Aspvall-Plass-Tarjan 1979).
+    """
+    # Literal 2i: the smaller end of M-edge i is in the cover; 2i + 1: the
+    # larger end.  A literal's negation flips its last bit.
+    matching = max_matching(g)
+    lit = [-1] * (g.n + 1)
+    for i, (u, v) in enumerate(matching.edges):
+        lit[u], lit[v] = 2 * i, 2 * i + 1
+    implies: list[list[int]] = [[] for _ in range(2 * matching.size)]
+    for u, v in g.edges:
+        a, b = lit[u], lit[v]
+        if a < 0:
+            # u is exposed, so v is matched (M is maximum) and must cover.
+            implies[b ^ 1].append(b)
+        elif b < 0:
+            implies[a ^ 1].append(a)
+        elif a ^ 1 != b:
+            implies[a ^ 1].append(b)
+            implies[b ^ 1].append(a)
+    comp = _strong_components(implies)
+    return all(comp[x] != comp[x + 1] for x in range(0, len(implies), 2))
+
+
+def _strong_components(succ: list[list[int]]) -> list[int]:
+    """Strong component index of each node of a digraph (iterative Tarjan)."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    counter = 0
+    found = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = found
+                        if w == v:
+                            break
+                    found += 1
+    return comp
 
 
 __all__ = [

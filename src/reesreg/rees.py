@@ -14,7 +14,13 @@ import enum
 from dataclasses import dataclass
 
 from .decomposition import GallaiEdmonds, gallai_edmonds
-from .graphs import Graph, iter_chordless_odd_cycles, mask_of
+from .graphs import (
+    Graph,
+    iter_chordless_odd_cycles,
+    mask_is_bipartite,
+    mask_of,
+    neighbor_mask,
+)
 
 
 class RegularityStatus(enum.Enum):
@@ -40,27 +46,21 @@ class RegularityResult:
 def satisfies_odd_cycle_condition(g: Graph) -> bool:
     """Every two vertex-disjoint odd cycles are joined by an edge.
 
-    Checked over chordless odd cycles only: a violating pair of odd cycles
-    always contains a violating chordless pair (shrink each cycle to a
-    chordless odd cycle inside its vertex set), and every chordless odd
-    cycle is an odd cycle.
+    Fails exactly when, for some chordless odd cycle C, the graph left
+    after deleting C and its neighbors still has an odd cycle: an odd
+    cycle there is disjoint from C and not joined to it, and a violating
+    pair of odd cycles always contains a chordless one (shrink a cycle to
+    a chordless odd cycle inside its vertex set).  The cycles are
+    streamed, and the first such C ends the search.  A bipartite graph has
+    no odd cycle, so it passes without the enumeration.
     """
-    cycles = [mask_of(c) for c in iter_chordless_odd_cycles(g)]
-    adj = g.adj_bits
-    for i, ci in enumerate(cycles):
-        for cj in cycles[i + 1:]:
-            if ci & cj:
-                continue
-            joined = False
-            m = ci
-            while m:
-                low = m & -m
-                if adj[low.bit_length() - 1] & cj:
-                    joined = True
-                    break
-                m ^= low
-            if not joined:
-                return False
+    full = g.full_mask
+    if mask_is_bipartite(g, full):
+        return True
+    for c in iter_chordless_odd_cycles(g):
+        c_mask = mask_of(c)
+        if not mask_is_bipartite(g, full & ~c_mask & ~neighbor_mask(g, c_mask)):
+            return False
     return True
 
 

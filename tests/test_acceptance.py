@@ -13,7 +13,11 @@ import random
 import pytest
 
 from conftest import record_acceptance
-from reference import gallai_edmonds_by_deletion, is_factor_critical_by_deletion
+from reference import (
+    gallai_edmonds_by_deletion,
+    is_factor_critical_by_deletion,
+    satisfies_odd_cycle_condition_pairwise,
+)
 from reesreg import (
     Graph,
     RegularityStatus,
@@ -30,6 +34,7 @@ from reesreg import (
     interior_lattice_points,
     is_factor_critical,
     is_fundamental_independent_set,
+    is_konig,
     is_rees_normal,
     is_tutte_berge,
     matching_number,
@@ -40,6 +45,7 @@ from reesreg import (
     point_membership,
     reduction_move,
     regularity,
+    satisfies_odd_cycle_condition,
     tutte_berge_witness,
     verify_normality_small,
 )
@@ -174,8 +180,10 @@ def sweep_six():
     """One pass over every labeled graph with n <= 6: the decomposition
     contract on the matching actually returned, the decomposition and the
     factor-critical test against their vertex-deletion references, the
-    perfect-matching and Konig specializations, and the matching
-    additivity, component and inheritance lemmas over every vertex split."""
+    Konig test against the brute-force independence number, the odd cycle
+    condition against the pairwise scan, the perfect-matching and Konig
+    specializations, and the matching additivity, component and
+    inheritance lemmas over every vertex split."""
     mat_memo: dict[Graph, int] = {}
     tb_memo: dict[Graph, bool] = {}
 
@@ -202,6 +210,8 @@ def sweep_six():
             "ge_item4",
             "ge_reference",
             "fc_reference",
+            "konig_reference",
+            "occ_reference",
             "pm_lemma",
             "pm_konig_tb",
             "component_lemma",
@@ -230,11 +240,15 @@ def sweep_six():
         if tb and ge.d_set and all(g.adj_bits[v] & d_mask for v in ge.d_set):
             buckets["pm_lemma"].append(g)
 
+        konig = len(max_independent_set(g)) + mat == g.n
+        if is_konig(g) != konig:
+            buckets["konig_reference"].append(g)
         if g.m >= 2:
             pm = 2 * mat == g.n
-            konig = len(max_independent_set(g)) + mat == g.n
             if (pm or konig) and not tb:
                 buckets["pm_konig_tb"].append(g)
+        if satisfies_odd_cycle_condition(g) != satisfies_odd_cycle_condition_pairwise(g):
+            buckets["occ_reference"].append(g)
 
         full = g.full_mask
         comps = components_within(g, full)
@@ -637,7 +651,14 @@ def test_independence_and_bipartite_helpers_full_scale(sweep_seven):
 
 
 def test_matching_specializations_full_scale(sweep_six):
-    problems = _bucket_problems(sweep_six["buckets"], ("pm_lemma", "pm_konig_tb"))
+    problems = _bucket_problems(
+        sweep_six["buckets"], ("pm_lemma", "pm_konig_tb", "konig_reference")
+    )
+    assert not problems, "; ".join(problems)
+
+
+def test_odd_cycle_condition_reference_full_scale(sweep_six):
+    problems = _bucket_problems(sweep_six["buckets"], ("occ_reference",))
     assert not problems, "; ".join(problems)
 
 

@@ -15,8 +15,10 @@ from reesreg import (
     gallai_edmonds,
     independent_sets,
     is_factor_critical,
+    is_konig,
     is_tutte_berge,
     matching_number,
+    max_independent_set,
     neighbor_set,
     paper_example,
     path,
@@ -24,7 +26,8 @@ from reesreg import (
     tutte_berge_bruteforce,
     tutte_berge_witness,
 )
-from reesreg.corpus import all_graphs
+from reesreg.corpus import all_graphs, exhaustive_graphs
+from reesreg.graphs import is_bipartite
 from reference import gallai_edmonds_by_deletion, is_factor_critical_by_deletion
 
 
@@ -112,6 +115,30 @@ def test_witness_for_disjoint_union():
     assert w.deficiency == 1
 
 
+def _random_bipartite(rng: random.Random, a: int, b: int, p: float) -> Graph:
+    """G(a, b, p) with its vertices shuffled, so the sides interleave."""
+    perm = list(range(1, a + b + 1))
+    rng.shuffle(perm)
+    edges = [
+        (perm[u - 1], perm[a + w - 1])
+        for u in range(1, a + 1)
+        for w in range(1, b + 1)
+        if rng.random() < p
+    ]
+    return Graph.from_edges(a + b, edges)
+
+
+def test_witness_of_bipartite_graph_is_first_max_independent_set():
+    for g in exhaustive_graphs(6):
+        if is_bipartite(g):
+            assert tutte_berge_witness(g).t_set == max_independent_set(g), g
+    rng = random.Random(1616)
+    for _ in range(300):
+        a = rng.randint(1, 10)
+        g = _random_bipartite(rng, a, rng.randint(1, 16 - a), rng.uniform(0.05, 0.6))
+        assert tutte_berge_witness(g).t_set == max_independent_set(g), g
+
+
 def test_decomposition_contract_small():
     for g in all_graphs(5):
         ge = gallai_edmonds(g)
@@ -172,3 +199,9 @@ def test_networkx_cross_check_large():
         assert 2 * mat == g.n - len(ge.d_components) + len(ge.a_set), g
         if n <= 40:
             assert ge == gallai_edmonds_by_deletion(g), g
+    # Konig's theorem: every bipartite graph has the Konig property.
+    for i in range(40):
+        n = rng.randint(20, 40) if i % 2 else rng.randint(41, 200)
+        a = rng.randint(n // 4, n - n // 4)
+        g = _random_bipartite(rng, a, n - a, rng.uniform(1.0, 8.0) / n)
+        assert is_konig(g), g

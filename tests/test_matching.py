@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -11,6 +13,7 @@ from reesreg import (
     complete_bipartite,
     cycle,
     has_perfect_matching,
+    independence_number,
     independent_sets,
     is_factor_critical,
     is_konig,
@@ -99,6 +102,18 @@ def test_konig_property():
         assert is_konig(g)
     for g in (cycle(5), complete(3), paper_example()):
         assert not is_konig(g)
+
+
+def test_konig_matches_bruteforce_seeded():
+    rng = random.Random(716)
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randint(7, 16)
+        g = random_graph(n, rng.uniform(0.05, 0.5), seed=rng.randrange(1 << 30))
+        konig = independence_number(g) + matching_number(g) == g.n
+        assert is_konig(g) == konig, g
+        verdicts.add(konig)
+    assert verdicts == {True, False}
 
 
 def test_factor_critical_neighbor_bound_spot_checks():

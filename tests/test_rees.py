@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from reesreg import (
@@ -13,11 +15,13 @@ from reesreg import (
     matching_number,
     paper_example,
     path,
+    random_graph,
     regularity,
     satisfies_odd_cycle_condition,
 )
 from reesreg.corpus import all_graphs
 from reesreg.graphs import is_bipartite
+from reference import satisfies_odd_cycle_condition_pairwise
 
 
 def two_triangles() -> Graph:
@@ -108,3 +112,15 @@ def test_bipartite_graphs_are_normal_and_tutte_berge():
         if is_bipartite(g):
             assert is_rees_normal(g)
             assert is_tutte_berge(g)
+
+
+def test_odd_cycle_condition_matches_pairwise_reference_seeded():
+    rng = random.Random(1818)
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randint(1, 18)
+        g = random_graph(n, rng.uniform(0.05, 0.5), seed=rng.randrange(1 << 30))
+        occ = satisfies_odd_cycle_condition(g)
+        assert occ == satisfies_odd_cycle_condition_pairwise(g), g
+        verdicts.add(occ)
+    assert verdicts == {True, False}

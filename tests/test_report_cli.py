@@ -12,10 +12,12 @@ from reesreg import (
     RegularityStatus,
     build_report,
     complete,
+    complete_bipartite,
     cycle,
     disjoint_union,
     paper_example,
     path,
+    random_graph,
     write_graph,
 )
 from reesreg.cli import main
@@ -184,6 +186,25 @@ def test_cli_regularity_skips_report_only_stages(tmp_path, monkeypatch, capsys):
         "oracle": None,
         "oracle_note": "oracle skipped: Rees algebra is not normal",
     }
+
+
+def test_cli_classify_runs_no_independent_set_search(tmp_path, monkeypatch, capsys):
+    # The Konig test, the witness and the odd cycle condition are all
+    # polynomial on these 100-vertex inputs; a brute-force independent set
+    # search would not finish.
+    def no_search(g, k):
+        raise AssertionError("classify must not enumerate independent sets")
+
+    monkeypatch.setattr("reesreg.graphs._independent_of_size", no_search)
+    kab = _write(tmp_path, "k50_50.txt", complete_bipartite(50, 50))
+    assert main(["classify", kab, "--json", "--witness"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["mat"], data["konig"], data["tutte_berge"]) == (50, True, True)
+    assert data["tb_witness"] == list(range(1, 51))
+    sparse = _write(tmp_path, "g100.txt", random_graph(100, 0.05, 7))
+    assert main(["classify", sparse, "--json", "--witness"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["n"] == 100
 
 
 def test_cli_ged_json(tmp_path, capsys):
