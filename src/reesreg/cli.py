@@ -8,6 +8,7 @@ invariant failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -187,7 +188,10 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK if summary.ok else EXIT_CORPUS_FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process and shared by every `main` call: parsing leaves
+    # the parser unchanged, so callers must not add to it either.
     parser = argparse.ArgumentParser(
         prog="reesreg",
         description=(

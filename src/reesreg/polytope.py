@@ -52,13 +52,17 @@ def cone_graph(g: Graph) -> Graph:
     return Graph.from_edges(apex, edges)
 
 
+def _all_components_odd(h: Graph, mask: int) -> bool:
+    # Does every component of h restricted to `mask` contain an odd cycle?
+    return all(
+        not mask_is_bipartite(h, comp) for comp in components_within(h, mask)
+    )
+
+
 def is_regular_vertex(h: Graph, v: int) -> bool:
     """Does every component of h minus v contain an odd cycle?"""
     h._check_vertex(v)
-    rest = h.full_mask & ~(1 << v)
-    return all(
-        not mask_is_bipartite(h, comp) for comp in components_within(h, rest)
-    )
+    return _all_components_odd(h, h.full_mask & ~(1 << v))
 
 
 def _b_graph_connected(h: Graph, t_mask: int, n_mask: int) -> bool:
@@ -98,10 +102,7 @@ def is_fundamental_independent_set(h: Graph, t: VertexSet) -> bool:
         n_mask |= h.adj_bits[v]
     if not _b_graph_connected(h, t_mask, n_mask):
         return False
-    outside = h.full_mask & ~t_mask & ~n_mask
-    return all(
-        not mask_is_bipartite(h, comp) for comp in components_within(h, outside)
-    )
+    return _all_components_odd(h, h.full_mask & ~t_mask & ~n_mask)
 
 
 def fundamental_independent_sets(h: Graph) -> tuple[VertexSet, ...]:
@@ -175,6 +176,16 @@ def halfspace_system(h: Graph) -> HalfSpaceSystem:
     )
 
 
+def _satisfies_sets(system: HalfSpaceSystem, point: LatticePoint, strict: bool) -> bool:
+    # sum_T x <= sum_N x for every fundamental T, strictly under `strict`.
+    for t_idx, n_idx in zip(system._t_idx, system._n_idx):
+        lhs = sum(point[i] for i in t_idx)
+        rhs = sum(point[i] for i in n_idx)
+        if lhs > rhs or (strict and lhs == rhs):
+            return False
+    return True
+
+
 def point_membership(
     system: HalfSpaceSystem, q: int, point: LatticePoint, strict: bool = False
 ) -> bool:
@@ -194,15 +205,9 @@ def point_membership(
     if sum(point) != UNIT_COORDINATE_SUM * q:
         return False
     low = 1 if strict else 0
-    for i in system.coord_constraints:
-        if point[i - 1] < low:
-            return False
-    for t_idx, n_idx in zip(system._t_idx, system._n_idx):
-        lhs = sum(point[i] for i in t_idx)
-        rhs = sum(point[i] for i in n_idx)
-        if lhs > rhs or (strict and lhs == rhs):
-            return False
-    return True
+    if any(point[i - 1] < low for i in system.coord_constraints):
+        return False
+    return _satisfies_sets(system, point, strict)
 
 
 def _compositions(total: int, mins: tuple[int, ...]) -> Iterator[list[int]]:
@@ -228,7 +233,11 @@ def _compositions(total: int, mins: tuple[int, ...]) -> Iterator[list[int]]:
     yield from rec(0, total, [])
 
 
-def _check_enum_guard(system: HalfSpaceSystem, q: int) -> None:
+def _points(system: HalfSpaceSystem, q: int, strict: bool) -> Iterator[LatticePoint]:
+    # The lattice points of the q-th dilation (strict: of its relative
+    # interior), ascending lexicographic, produced one at a time.  Under
+    # `strict` every candidate is >= 1 at the listed coordinates, so only
+    # the set constraints are left to test.
     if q < 1:
         raise ValueError(f"dilation q must be >= 1, got {q}")
     if system.ambient_n > ENUM_AMBIENT_LIMIT or q > ENUM_DILATION_LIMIT:
@@ -236,43 +245,25 @@ def _check_enum_guard(system: HalfSpaceSystem, q: int) -> None:
             f"lattice enumeration limited to ambient <= {ENUM_AMBIENT_LIMIT}"
             f" and q <= {ENUM_DILATION_LIMIT}"
         )
+    low = 1 if strict else 0
+    listed = set(system.coord_constraints)
+    mins = tuple(low if v in listed else 0 for v in range(1, system.ambient_n + 1))
+    for cand in _compositions(UNIT_COORDINATE_SUM * q, mins):
+        p = tuple(cand)
+        if _satisfies_sets(system, p, strict):
+            yield p
 
 
 def lattice_points(system: HalfSpaceSystem, q: int) -> tuple[LatticePoint, ...]:
     """All lattice points of the q-th dilation, ascending lexicographic."""
-    _check_enum_guard(system, q)
-    mins = tuple(0 for _ in range(system.ambient_n))
-    out = []
-    for cand in _compositions(UNIT_COORDINATE_SUM * q, mins):
-        p = tuple(cand)
-        if point_membership(system, q, p, strict=False):
-            out.append(p)
-    return tuple(out)
+    return tuple(_points(system, q, strict=False))
 
 
 def interior_lattice_points(system: HalfSpaceSystem, q: int) -> tuple[LatticePoint, ...]:
     """Lattice points strictly inside the q-th dilation, ascending
     lexicographic.  Candidates are restricted to >= 1 at coordinates with a
     listed constraint and >= 0 elsewhere."""
-    _check_enum_guard(system, q)
-    listed = set(system.coord_constraints)
-    mins = tuple(1 if v + 1 in listed else 0 for v in range(system.ambient_n))
-    target = UNIT_COORDINATE_SUM * q
-    if sum(mins) > target:
-        return ()
-    out = []
-    for cand in _compositions(target, mins):
-        p = tuple(cand)
-        ok = True
-        for t_idx, n_idx in zip(system._t_idx, system._n_idx):
-            lhs = sum(p[i] for i in t_idx)
-            rhs = sum(p[i] for i in n_idx)
-            if lhs >= rhs:
-                ok = False
-                break
-        if ok:
-            out.append(p)
-    return tuple(out)
+    return tuple(_points(system, q, strict=True))
 
 
 @dataclass(frozen=True)
@@ -292,9 +283,11 @@ class OracleResult:
 def compute_q0(g: Graph) -> OracleResult:
     """Search dilations q = 1, 2, ... of the cone-graph polytope.
 
-    Requires at least two edges and a normal Rees algebra.  The search is
-    bounded by q <= n + 1 - mat(G); running past the bound would contradict
-    reg >= mat and raises InternalInvariantError.
+    Each dilation's candidates are scanned in ascending lexicographic order
+    and the scan stops at the first interior point.  Requires at least two
+    edges and a normal Rees algebra.  The search is bounded by
+    q <= n + 1 - mat(G); running past the bound would contradict reg >= mat
+    and raises InternalInvariantError.
     """
     if g.m < 2:
         raise ValueError("oracle needs a graph with at least two edges")
@@ -303,9 +296,9 @@ def compute_q0(g: Graph) -> OracleResult:
     system = halfspace_system(cone_graph(g))
     bound = g.n + 1 - matching_number(g)
     for q in range(1, bound + 1):
-        pts = interior_lattice_points(system, q)
-        if pts:
-            return OracleResult(q0=q, interior_witness=pts[0], reg=g.n + 1 - q)
+        first = next(_points(system, q, strict=True), None)
+        if first is not None:
+            return OracleResult(q0=q, interior_witness=first, reg=g.n + 1 - q)
     raise InternalInvariantError(
         f"no interior lattice point up to the bound q = {bound}"
     )
@@ -377,11 +370,11 @@ def verify_normality_small(g: Graph, q_max: int = 3) -> bool:
         memo[p] = ok
         return ok
 
-    for q in range(1, q_max + 1):
-        for p in lattice_points(system, q):
-            if not decomposable(p):
-                return False
-    return True
+    return all(
+        decomposable(p)
+        for q in range(1, q_max + 1)
+        for p in _points(system, q, strict=False)
+    )
 
 
 __all__ = [

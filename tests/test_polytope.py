@@ -31,7 +31,7 @@ from reesreg import (
     regularity,
     verify_normality_small,
 )
-from reesreg.corpus import all_graphs, exhaustive_graphs
+from reesreg.corpus import all_graphs, exhaustive_graphs, random_graphs
 from reesreg.graphs import components_within, mask_is_bipartite
 from reesreg.polytope import UNIT_COORDINATE_SUM
 from reesreg.rees import RegularityStatus
@@ -229,13 +229,35 @@ def test_oracle_preconditions():
 
 
 def test_oracle_matches_formula_small():
-    for g in all_graphs(4):
+    # The lazy search must return what a full scan of each dilation finds:
+    # no interior point below q0, and the lexicographically first one at q0.
+    for g in exhaustive_graphs(5):
         res = regularity(g)
         if res.status is not RegularityStatus.COMPUTED:
             continue
         oracle = compute_q0(g)
         assert oracle.reg == res.reg
         assert oracle.q0 <= g.n + 1 - matching_number(g)
+        system = halfspace_system(cone_graph(g))
+        assert oracle.interior_witness == interior_lattice_points(system, oracle.q0)[0]
+        if oracle.q0 > 1:
+            assert interior_lattice_points(system, oracle.q0 - 1) == ()
+
+
+def test_oracle_matches_formula_seeded_up_to_ambient_limit():
+    # n = 9..11 reaches the ambient guard (the cone graph has n + 1 <= 12
+    # vertices), past the exhaustive and brute-force checks.
+    big = [g for g in random_graphs(11, 1100, seed=1) if g.n >= 9]
+    assert len(big) >= 250
+    computed = 0
+    for g in big:
+        res = regularity(g)
+        if res.status is not RegularityStatus.COMPUTED:
+            continue
+        oracle = compute_q0(g)
+        assert oracle.reg == res.reg, (g.n, g.edges)
+        computed += 1
+    assert computed >= 200
 
 
 def test_reduction_move():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import subprocess
@@ -290,6 +291,27 @@ def test_cli_polytope_enum_guard(tmp_path, capsys):
 def test_cli_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "classify" in capsys.readouterr().out
+
+
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    # Building the parser adds its subcommands once; parsing never does.
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counting(self, **kwargs):
+        built.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    assert main(["gen", "cycle", "3"]) == 0
+    assert main(["frobnicate"]) == 2
+    assert main(["--help"]) == 0
+    assert main(["gen", "cycle", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("3 3\n") == 2
+    assert "classify" in out
+    # At most once: an earlier test in this process may already have built it.
+    assert built.count("reesreg") <= 1
 
 
 def test_module_entry_point():
