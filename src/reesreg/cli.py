@@ -22,7 +22,7 @@ from .errors import (
     NoOddCycleError,
 )
 from .graphs import GENERATOR_FAMILIES, Graph, generate, parse_graph, write_graph
-from .polytope import cone_graph, halfspace_system, interior_lattice_points, lattice_points
+from .polytope import _enumerable_cone_system, interior_lattice_points, lattice_points
 from .rees import regularity
 from .report import build_report, oracle_dict, regularity_dict, run_oracle
 
@@ -145,7 +145,7 @@ def _cmd_ged(args: argparse.Namespace) -> int:
 
 def _cmd_polytope(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    system = halfspace_system(cone_graph(g))
+    system = _enumerable_cone_system(g, args.q)
     if args.interior:
         points = interior_lattice_points(system, args.q)
     else:

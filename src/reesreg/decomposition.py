@@ -19,11 +19,11 @@ from .errors import InstanceTooLargeError
 from .graphs import (
     Graph,
     VertexSet,
+    _bfs,
     components_within,
     independent_sets,
     induced_subgraph,
     labels_of,
-    mask_is_bipartite,
     mask_of,
     neighbor_mask,
 )
@@ -128,14 +128,14 @@ def _witness(g: Graph, ge: GallaiEdmonds) -> TutteBergeWitness | None:
     d_mask = mask_of(ge.d_set)
     picked: list[int] = []
     bipartite_parts = []
-    for comp in components_within(g, g.full_mask):
-        if mask_is_bipartite(g, comp):
+    for comp, _, bipartite in _bfs(g, g.full_mask):
+        if bipartite:
             bipartite_parts.append(comp)
         elif comp & d_mask:
             picked.extend(labels_of(comp & d_mask))
-            for part in components_within(g, comp & mask_of(ge.c_set)):
-                if mask_is_bipartite(g, part):
-                    bipartite_parts.append(part)
+            bipartite_parts.extend(
+                part for part, _, b in _bfs(g, comp & mask_of(ge.c_set)) if b
+            )
     for part in bipartite_parts:
         picked.extend(_first_max_independent_bipartite(g, part))
     return TutteBergeWitness(t_set=tuple(sorted(picked)), deficiency=ge.deficiency)

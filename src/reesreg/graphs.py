@@ -254,43 +254,34 @@ def paper_example() -> Graph:
     )
 
 
-GENERATOR_FAMILIES = (
-    "cycle",
-    "path",
-    "complete",
-    "complete-bipartite",
-    "random",
-    "disjoint-union",
-    "paper-example",
-)
+def _same(g: Graph) -> Graph:
+    return g
+
+
+# Family name -> (generator, its parameters as (name, conversion) pairs).
+_GENERATORS = {
+    "cycle": (cycle, (("k", int),)),
+    "path": (path, (("k", int),)),
+    "complete": (complete, (("k", int),)),
+    "complete-bipartite": (complete_bipartite, (("a", int), ("b", int))),
+    "random": (random_graph, (("n", int), ("p", float), ("seed", int))),
+    "disjoint-union": (disjoint_union, (("g1", _same), ("g2", _same))),
+    "paper-example": (paper_example, ()),
+}
+
+GENERATOR_FAMILIES = tuple(_GENERATORS)
 
 
 def generate(family: str, *params) -> Graph:
     """Dispatch a generator family by name (the CLI `gen` vocabulary)."""
     name = family.replace("_", "-")
-    if name == "cycle":
-        (k,) = params
-        return cycle(int(k))
-    if name == "path":
-        (k,) = params
-        return path(int(k))
-    if name == "complete":
-        (k,) = params
-        return complete(int(k))
-    if name == "complete-bipartite":
-        a, b = params
-        return complete_bipartite(int(a), int(b))
-    if name == "random":
-        n, p, seed = params
-        return random_graph(int(n), float(p), int(seed))
-    if name == "disjoint-union":
-        g1, g2 = params
-        return disjoint_union(g1, g2)
-    if name == "paper-example":
-        if params:
-            raise ValueError("paper-example takes no parameters")
-        return paper_example()
-    raise ValueError(f"unknown family {family!r}; known: {', '.join(GENERATOR_FAMILIES)}")
+    if name not in _GENERATORS:
+        raise ValueError(f"unknown family {family!r}; known: {', '.join(GENERATOR_FAMILIES)}")
+    make, spec = _GENERATORS[name]
+    if len(params) != len(spec):
+        names = " ".join(p for p, _ in spec) or "no parameters"
+        raise ValueError(f"{name} takes {names}")
+    return make(*(convert(x) for (_, convert), x in zip(spec, params)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,32 +306,37 @@ def induced_subgraph(g: Graph, labels: Iterable[int]) -> tuple[Graph, dict[int, 
     return Graph.from_edges(len(sel), edges), {i + 1: old for i, old in enumerate(sel)}
 
 
+def _bfs(g: Graph, mask: int) -> Iterator[tuple[int, list[int], bool]]:
+    """Breadth-first search of the subgraph induced on `mask`.
+
+    Yields one (component, layers, bipartite) triple per component, ordered
+    by smallest member; `layers` are the BFS layers from that member, as
+    masks.  Every edge joins a layer to itself or to the next one, so a
+    component is bipartite exactly when no edge lies inside a layer.
+    """
+    left = mask
+    while left:
+        frontier = left & -left
+        comp = 0
+        layers = []
+        bipartite = True
+        while frontier:
+            comp |= frontier
+            layers.append(frontier)
+            reach = neighbor_mask(g, frontier)
+            if reach & frontier:
+                bipartite = False
+            frontier = reach & mask & ~comp
+        yield comp, layers, bipartite
+        left &= ~comp
+
+
 def components_within(g: Graph, mask: int) -> list[int]:
     """Connected components of the subgraph induced on `mask`, as masks.
 
     Ordered by smallest member label.
     """
-    adj = g.adj_bits
-    left = mask
-    out = []
-    v = 1
-    while left:
-        while not (left >> v & 1):
-            v += 1
-        comp = 0
-        frontier = 1 << v
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= adj[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & mask & ~comp
-        out.append(comp)
-        left &= ~comp
-    return out
+    return [comp for comp, _, _ in _bfs(g, mask)]
 
 
 def connected_components(g: Graph) -> list[VertexSet]:
@@ -349,34 +345,8 @@ def connected_components(g: Graph) -> list[VertexSet]:
 
 
 def mask_is_bipartite(g: Graph, mask: int) -> bool:
-    """Is the subgraph induced on `mask` bipartite?  (2-coloring BFS.)"""
-    adj = g.adj_bits
-    color = {}
-    left = mask
-    v = 1
-    while left:
-        while not (left >> v & 1):
-            v += 1
-        color[v] = 0
-        queue = [v]
-        comp = 1 << v
-        while queue:
-            u = queue.pop()
-            cu = color[u]
-            nb = adj[u] & mask
-            while nb:
-                low = nb & -nb
-                w = low.bit_length() - 1
-                nb ^= low
-                if w in color:
-                    if color[w] == cu:
-                        return False
-                else:
-                    color[w] = 1 - cu
-                    comp |= low
-                    queue.append(w)
-        left &= ~comp
-    return True
+    """Is the subgraph induced on `mask` bipartite?"""
+    return all(bipartite for _, _, bipartite in _bfs(g, mask))
 
 
 @dataclass(frozen=True)
@@ -395,41 +365,24 @@ class BipartiteCheck:
 
 
 def bipartite_check(g: Graph) -> BipartiteCheck:
-    color: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
-    for root in g.vertices:
-        if root in color:
-            continue
-        color[root] = 0
-        parent[root] = None
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for w in g.adj_lists[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    parent[w] = u
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    walk = _odd_walk(parent, u, w)
-                    return BipartiteCheck(False, None, walk)
-    side0 = tuple(sorted(v for v in g.vertices if color[v] == 0))
-    side1 = tuple(sorted(v for v in g.vertices if color[v] == 1))
-    return BipartiteCheck(True, (side0, side1), None)
-
-
-def _odd_walk(parent: dict[int, int | None], u: int, w: int) -> tuple[int, ...]:
-    # Close the walk u -> root -> w -> u through the BFS tree.  Both chains
-    # end at the same root, and equal colors make the total edge count odd.
-    up = [u]
-    while parent[up[-1]] is not None:
-        up.append(parent[up[-1]])
-    down = [w]
-    while parent[down[-1]] is not None:
-        down.append(parent[down[-1]])
-    return tuple(up + down[::-1][1:] + [u])
+    """The sides are the even and odd BFS layers.  The odd walk closes an
+    edge inside layer k through layers k - 1, ..., 0 on both ends: 2k + 1
+    edges."""
+    adj = g.adj_bits
+    sides = [0, 0]
+    for _, layers, bipartite in _bfs(g, g.full_mask):
+        if not bipartite:
+            k = next(k for k, layer in enumerate(layers) if neighbor_mask(g, layer) & layer)
+            layer = layers[k]
+            u = next(v for v in labels_of(layer) if adj[v] & layer)
+            up, down = [u], [labels_of(adj[u] & layer)[0]]
+            for prev in reversed(layers[:k]):
+                up.append(labels_of(adj[up[-1]] & prev)[0])
+                down.append(labels_of(adj[down[-1]] & prev)[0])
+            return BipartiteCheck(False, None, tuple(up + down[::-1][1:] + [u]))
+        for k, layer in enumerate(layers):
+            sides[k & 1] |= layer
+    return BipartiteCheck(True, (labels_of(sides[0]), labels_of(sides[1])), None)
 
 
 def is_bipartite(g: Graph) -> bool:

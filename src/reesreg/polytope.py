@@ -23,11 +23,10 @@ from .errors import InstanceTooLargeError, InternalInvariantError, NoOddCycleErr
 from .graphs import (
     Graph,
     VertexSet,
-    components_within,
+    _bfs,
     independent_sets,
     is_bipartite,
     labels_of,
-    mask_is_bipartite,
     mask_of,
     neighbor_mask,
 )
@@ -54,9 +53,7 @@ def cone_graph(g: Graph) -> Graph:
 
 def _all_components_odd(h: Graph, mask: int) -> bool:
     # Does every component of h restricted to `mask` contain an odd cycle?
-    return all(
-        not mask_is_bipartite(h, comp) for comp in components_within(h, mask)
-    )
+    return not any(bipartite for _, _, bipartite in _bfs(h, mask))
 
 
 def is_regular_vertex(h: Graph, v: int) -> bool:
@@ -65,28 +62,16 @@ def is_regular_vertex(h: Graph, v: int) -> bool:
     return _all_components_odd(h, h.full_mask & ~(1 << v))
 
 
-def _b_graph_connected(h: Graph, t_mask: int, n_mask: int) -> bool:
-    # Connectivity of B_H(T): vertex set T u N(T), but only the edges
-    # between the two sides count.
-    adj = h.adj_bits
-    both = t_mask | n_mask
-    start = both & -both
-    seen = start
-    frontier = start
+def _b_graph_connected(h: Graph, t_mask: int) -> bool:
+    # Connectivity of B_H(T) for an independent T: vertex set T u N(T), but
+    # only the edges between the two sides count.  Every vertex of N(T) has
+    # a neighbor in T, so B_H(T) is connected when two steps at a time reach
+    # all of T from one of its vertices.
+    reach = frontier = t_mask & -t_mask
     while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            v_adj = adj[low.bit_length() - 1]
-            if low & t_mask:
-                nxt |= v_adj & n_mask
-            else:
-                nxt |= v_adj & t_mask
-            f ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == both
+        frontier = neighbor_mask(h, neighbor_mask(h, frontier)) & t_mask & ~reach
+        reach |= frontier
+    return reach == t_mask
 
 
 def is_fundamental_independent_set(h: Graph, t: VertexSet) -> bool:
@@ -100,7 +85,7 @@ def is_fundamental_independent_set(h: Graph, t: VertexSet) -> bool:
         if h.adj_bits[v] & t_mask:
             return False
         n_mask |= h.adj_bits[v]
-    if not _b_graph_connected(h, t_mask, n_mask):
+    if not _b_graph_connected(h, t_mask):
         return False
     return _all_components_odd(h, h.full_mask & ~t_mask & ~n_mask)
 
@@ -233,18 +218,34 @@ def _compositions(total: int, mins: tuple[int, ...]) -> Iterator[list[int]]:
     yield from rec(0, total, [])
 
 
+def _check_enum_guard(ambient_n: int, q: int) -> None:
+    # The one limit on lattice enumeration.
+    if q < 1:
+        raise ValueError(f"dilation q must be >= 1, got {q}")
+    if ambient_n > ENUM_AMBIENT_LIMIT or q > ENUM_DILATION_LIMIT:
+        raise InstanceTooLargeError(
+            f"lattice enumeration limited to ambient <= {ENUM_AMBIENT_LIMIT}"
+            f" and q <= {ENUM_DILATION_LIMIT}"
+        )
+
+
+def _enumerable_cone_system(g: Graph, q: int) -> HalfSpaceSystem:
+    # The cone graph's half-space system, to enumerate its q-th dilation.
+    # The guard comes first because the build walks every independent set
+    # of the cone graph; an edgeless g keeps NoOddCycleError first, since
+    # its cone is a star.
+    h = cone_graph(g)
+    if g.m:
+        _check_enum_guard(h.n, q)
+    return halfspace_system(h)
+
+
 def _points(system: HalfSpaceSystem, q: int, strict: bool) -> Iterator[LatticePoint]:
     # The lattice points of the q-th dilation (strict: of its relative
     # interior), ascending lexicographic, produced one at a time.  Under
     # `strict` every candidate is >= 1 at the listed coordinates, so only
     # the set constraints are left to test.
-    if q < 1:
-        raise ValueError(f"dilation q must be >= 1, got {q}")
-    if system.ambient_n > ENUM_AMBIENT_LIMIT or q > ENUM_DILATION_LIMIT:
-        raise InstanceTooLargeError(
-            f"lattice enumeration limited to ambient <= {ENUM_AMBIENT_LIMIT}"
-            f" and q <= {ENUM_DILATION_LIMIT}"
-        )
+    _check_enum_guard(system.ambient_n, q)
     low = 1 if strict else 0
     listed = set(system.coord_constraints)
     mins = tuple(low if v in listed else 0 for v in range(1, system.ambient_n + 1))
@@ -293,7 +294,7 @@ def compute_q0(g: Graph) -> OracleResult:
         raise ValueError("oracle needs a graph with at least two edges")
     if not is_rees_normal(g):
         raise ValueError("oracle needs a normal Rees algebra")
-    system = halfspace_system(cone_graph(g))
+    system = _enumerable_cone_system(g, 1)
     bound = g.n + 1 - matching_number(g)
     for q in range(1, bound + 1):
         first = next(_points(system, q, strict=True), None)

@@ -59,7 +59,9 @@ def satisfies_odd_cycle_condition(g: Graph) -> bool:
         return True
     for c in iter_chordless_odd_cycles(g):
         c_mask = mask_of(c)
-        if not mask_is_bipartite(g, full & ~c_mask & ~neighbor_mask(g, c_mask)):
+        far = full & ~c_mask & ~neighbor_mask(g, c_mask)
+        # On a dense graph most far sides are empty; skip the search there.
+        if far and not mask_is_bipartite(g, far):
             return False
     return True
 

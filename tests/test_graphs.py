@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from reesreg import (
     write_graph,
 )
 from reesreg.corpus import all_graphs
-from reesreg.graphs import labels_of, mask_of
+from reesreg.graphs import components_within, labels_of, mask_is_bipartite, mask_of
 
 
 def test_mask_round_trip():
@@ -207,26 +208,91 @@ def test_bipartite_families():
         assert not is_bipartite(g)
 
 
+def _components_by_union_find(g, mask):
+    # Reference components of the subgraph induced on `mask`, ordered by
+    # smallest label, from union-find over its edges.
+    parent = {v: v for v in labels_of(mask)}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edges:
+        if mask >> u & 1 and mask >> v & 1:
+            parent[find(u)] = find(v)
+    comps = {}
+    for v in labels_of(mask):
+        comps.setdefault(find(v), []).append(v)
+    return [mask_of(c) for c in sorted(comps.values())]
+
+
+def _assert_valid_certificate(g, check):
+    if check.bipartite:
+        left, right = check.sides
+        left_set, right_set = set(left), set(right)
+        assert left_set | right_set == set(g.vertices)
+        assert not left_set & right_set
+        for u, v in g.edges:
+            assert (u in left_set and v in right_set) or (
+                u in right_set and v in left_set
+            )
+        for comp in connected_components(g):
+            assert comp[0] in left_set
+        assert check.odd_closed_walk is None
+    else:
+        walk = check.odd_closed_walk
+        assert check.sides is None
+        assert walk is not None
+        assert walk[0] == walk[-1]
+        assert len(walk) % 2 == 0
+        for a, b in zip(walk, walk[1:]):
+            assert g.has_edge(a, b)
+
+
 def test_bipartite_witnesses_exhaustive_small():
-    for g in all_graphs(5):
+    # Every graph with n <= 5 and every vertex mask: the certificate of the
+    # induced subgraph is valid, and the mask-level traversals agree with it
+    # and with union-find components.
+    for n in range(6):
+        for g in all_graphs(n):
+            for mask in range(0, g.full_mask + 1, 2):
+                sub, back = induced_subgraph(g, labels_of(mask))
+                check = bipartite_check(sub)
+                _assert_valid_certificate(sub, check)
+                assert mask_is_bipartite(g, mask) == check.bipartite
+                comps = components_within(g, mask)
+                assert comps == _components_by_union_find(g, mask)
+                assert [labels_of(c) for c in comps] == [
+                    tuple(back[v] for v in c) for c in connected_components(sub)
+                ]
+
+
+def test_traversal_matches_networkx_large():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+    seen = set()
+    for i in range(60):
+        n = rng.randint(20, 200)
+        g = random_graph(n, rng.uniform(0.3, 2.5) / n, seed=rng.randrange(1 << 30))
+        ref = nx.Graph()
+        ref.add_nodes_from(g.vertices)
+        ref.add_edges_from(g.edges)
+        comps = sorted(tuple(sorted(c)) for c in nx.connected_components(ref))
+        assert connected_components(g) == comps, g
         check = bipartite_check(g)
-        if check.bipartite:
-            left, right = check.sides
-            left_set, right_set = set(left), set(right)
-            assert left_set | right_set == set(g.vertices)
-            assert not left_set & right_set
-            for u, v in g.edges:
-                assert (u in left_set and v in right_set) or (
-                    u in right_set and v in left_set
-                )
-            assert check.odd_closed_walk is None
-        else:
-            walk = check.odd_closed_walk
-            assert walk is not None
-            assert walk[0] == walk[-1]
-            assert len(walk) % 2 == 0
-            for a, b in zip(walk, walk[1:]):
-                assert g.has_edge(a, b)
+        assert check.bipartite == is_bipartite(g) == nx.is_bipartite(ref), g
+        _assert_valid_certificate(g, check)
+        seen.add(check.bipartite)
+        for _ in range(3):
+            keep = [v for v in g.vertices if rng.random() < 0.7]
+            sub = ref.subgraph(keep)
+            mask = mask_of(keep)
+            assert components_within(g, mask) == [
+                mask_of(c) for c in sorted(sorted(c) for c in nx.connected_components(sub))
+            ], g
+            assert mask_is_bipartite(g, mask) == nx.is_bipartite(sub), g
+    assert seen == {True, False}
 
 
 def test_neighbor_set():

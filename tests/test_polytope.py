@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from reesreg import (
     NoOddCycleError,
     canonical_point,
     complete,
+    complete_bipartite,
     compute_q0,
     cone_graph,
     cycle,
@@ -73,6 +75,10 @@ def test_fundamental_sets_frozen_examples():
     assert fundamental_independent_sets(complete(3)) == ((1,), (2,), (3,))
     assert is_fundamental_independent_set(cycle(4), (1, 3))
     assert not is_fundamental_independent_set(cycle(4), (1,))
+    # B_H(T) is the single vertex 4, which is connected; K_3 is left over.
+    assert is_fundamental_independent_set(
+        disjoint_union(complete(3), Graph.from_edges(1, [])), (4,)
+    )
     assert not is_fundamental_independent_set(cycle(4), ())
     assert not is_fundamental_independent_set(cycle(4), (1, 2))
 
@@ -185,6 +191,24 @@ def test_enumeration_guard():
         lattice_points(big, 1)
     with pytest.raises(ValueError):
         lattice_points(system, 0)
+
+
+def test_oracle_guard_runs_before_the_halfspace_build():
+    # The build enumerates every independent set of the cone graph, which
+    # would not finish on these inputs.
+    for g in (cycle(40), complete_bipartite(50, 50)):
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLargeError, match="ambient <= 12"):
+            compute_q0(g)
+        assert time.perf_counter() - start < 1.0
+    # The preconditions keep their errors on large inputs.
+    with pytest.raises(ValueError, match="at least two edges") as exc:
+        compute_q0(Graph.from_edges(30, [(1, 2)]))
+    assert type(exc.value) is ValueError
+    two_triangles = disjoint_union(complete(3), disjoint_union(complete(3), path(10)))
+    with pytest.raises(ValueError, match="normal Rees algebra") as exc:
+        compute_q0(two_triangles)
+    assert type(exc.value) is ValueError
 
 
 def test_sums_of_edge_vectors_are_members():

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -286,6 +287,44 @@ def test_cli_polytope_enum_guard(tmp_path, capsys):
     target = _write(tmp_path, "k12.txt", complete(12))
     assert main(["polytope", target, "--q", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["regularity", "{graph}", "--oracle"],
+        ["classify", "{graph}", "--oracle"],
+        ["polytope", "{graph}", "--q", "1"],
+    ],
+)
+@pytest.mark.parametrize("g", [cycle(40), complete_bipartite(50, 50)], ids=["c40", "k50_50"])
+def test_cli_oracle_guard_exits_2_at_once(argv, g, tmp_path, capsys):
+    target = _write(tmp_path, "big.txt", g)
+    start = time.perf_counter()
+    assert main([a.format(graph=target) for a in argv]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "lattice enumeration limited" in capsys.readouterr().err
+
+
+def test_cli_polytope_edgeless_keeps_odd_cycle_error(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("30 0\n", encoding="utf-8")
+    assert main(["polytope", str(empty), "--q", "1"]) == 2
+    assert "needs an odd cycle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "cycle"], "cycle takes k"),
+        (["gen", "random", "10", "0.5"], "random takes n p seed"),
+        (["gen", "complete-bipartite", "3"], "complete-bipartite takes a b"),
+        (["gen", "paper-example", "7"], "paper-example takes no parameters"),
+    ],
+)
+def test_cli_gen_names_the_parameters(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_help_exits_zero(capsys):
