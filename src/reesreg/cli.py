@@ -183,6 +183,8 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         print(f"normal             {summary.normal_count}")
         print(f"tutte-berge        {summary.tutte_berge_count}")
         print(f"failures           {len(summary.failures)}")
+        if summary.oracle_skipped:
+            print(f"oracle skipped     {summary.oracle_skipped}")
         for f in summary.failures:
             print(f"  FAIL {f.check} on n={f.n} edges={list(f.edges)}: {f.detail}")
     return EXIT_OK if summary.ok else EXIT_CORPUS_FAILURE

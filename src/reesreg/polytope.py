@@ -17,7 +17,9 @@ whose relative interior contains a lattice point, the regularity of the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import cached_property
+from itertools import product
+from typing import Iterator, NamedTuple
 
 from .errors import InstanceTooLargeError, InternalInvariantError, NoOddCycleError
 from .graphs import (
@@ -126,6 +128,11 @@ class HalfSpaceSystem:
             tuple(tuple(v - 1 for v in nb) for _, nb in self.set_constraints),
         )
 
+    @cached_property
+    def _search_index(self) -> _SearchIndex:
+        # Built on the first lattice search and kept for the next dilation.
+        return _index_constraints(self)
+
 
 def halfspace_system(h: Graph) -> HalfSpaceSystem:
     """Build the half-space description for a graph with an odd cycle.
@@ -138,10 +145,15 @@ def halfspace_system(h: Graph) -> HalfSpaceSystem:
     if is_bipartite(h):
         raise NoOddCycleError("half-space description needs an odd cycle")
     coords = tuple(v for v in h.vertices if is_regular_vertex(h, v))
-    sets = tuple(
-        (t, labels_of(neighbor_mask(h, mask_of(t))))
-        for t in fundamental_independent_sets(h)
-    )
+    return _checked_system(h, coords, fundamental_independent_sets(h))
+
+
+def _checked_system(
+    h: Graph, coords: tuple[int, ...], fundamental: tuple[VertexSet, ...]
+) -> HalfSpaceSystem:
+    # The system of h from its regular vertices and fundamental sets, after
+    # the implicit-equality guard.
+    sets = tuple((t, labels_of(neighbor_mask(h, mask_of(t)))) for t in fundamental)
     for i in coords:
         if h.degree(i) == 0:
             raise InternalInvariantError(
@@ -159,6 +171,57 @@ def halfspace_system(h: Graph) -> HalfSpaceSystem:
     return HalfSpaceSystem(
         ambient_n=h.n, coord_constraints=coords, set_constraints=sets
     )
+
+
+def _cone_options(g: Graph, comp: int) -> list[int]:
+    # The independent subsets I of one component of g (masks, the empty set
+    # included) that leave no bipartite component in comp - N[I].  On a
+    # bipartite component these are its maximal independent sets.
+    adj = g.adj_bits
+    verts = labels_of(comp)
+    options = []
+
+    def rec(k: int, chosen: int, closed: int) -> None:
+        if k == len(verts):
+            if _all_components_odd(g, comp & ~closed):
+                options.append(chosen)
+            return
+        v = verts[k]
+        rec(k + 1, chosen, closed)
+        if not closed >> v & 1:
+            rec(k + 1, chosen | 1 << v, closed | 1 << v | adj[v])
+
+    rec(0, 0, 0)
+    return options
+
+
+def _cone_system(g: Graph) -> HalfSpaceSystem:
+    # halfspace_system(cone_graph(g)), read off g.  The apex is adjacent to
+    # every vertex of g, so in the cone graph: B(T) is connected for every
+    # nonempty independent T, and what is left after deleting T u N(T) is
+    # g - N_g[T] (or nothing, for T = {apex}).  So the fundamental sets are
+    # {apex} and the nonempty independent T of g with no bipartite component
+    # in g - N_g[T]; that test splits over the components of g.  A vertex
+    # v of g is regular when g - v keeps an edge (the cone minus v is
+    # connected, and an edge plus the apex is a triangle); the apex is
+    # regular when no component of g is bipartite.
+    if not g.m:
+        raise NoOddCycleError("half-space description needs an odd cycle")
+    h = cone_graph(g)
+    apex = h.n
+    components = list(_bfs(g, g.full_mask))
+    coords = tuple(v for v in g.vertices if g.m > g.degree(v))
+    if not any(bipartite for _, _, bipartite in components):
+        coords += (apex,)
+    # One option per component; their masks are disjoint, so the sum of a
+    # choice is its union.
+    fundamental = [(apex,)] + [
+        labels_of(sum(choice))
+        for choice in product(*(_cone_options(g, comp) for comp, _, _ in components))
+        if any(choice)
+    ]
+    fundamental.sort(key=lambda t: (len(t), t))
+    return _checked_system(h, coords, tuple(fundamental))
 
 
 def _satisfies_sets(system: HalfSpaceSystem, point: LatticePoint, strict: bool) -> bool:
@@ -195,29 +258,6 @@ def point_membership(
     return _satisfies_sets(system, point, strict)
 
 
-def _compositions(total: int, mins: tuple[int, ...]) -> Iterator[list[int]]:
-    # All integer vectors >= mins with the given coordinate sum, ascending
-    # lexicographic.
-    k = len(mins)
-    if k == 0:
-        if total == 0:
-            yield []
-        return
-    suffix = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + mins[i]
-
-    def rec(i: int, left: int, acc: list[int]) -> Iterator[list[int]]:
-        if i == k - 1:
-            if left >= mins[i]:
-                yield acc + [left]
-            return
-        for c in range(mins[i], left - suffix[i + 1] + 1):
-            yield from rec(i + 1, left - c, acc + [c])
-
-    yield from rec(0, total, [])
-
-
 def _check_enum_guard(ambient_n: int, q: int) -> None:
     # The one limit on lattice enumeration.
     if q < 1:
@@ -231,28 +271,125 @@ def _check_enum_guard(ambient_n: int, q: int) -> None:
 
 def _enumerable_cone_system(g: Graph, q: int) -> HalfSpaceSystem:
     # The cone graph's half-space system, to enumerate its q-th dilation.
-    # The guard comes first because the build walks every independent set
-    # of the cone graph; an edgeless g keeps NoOddCycleError first, since
-    # its cone is a star.
-    h = cone_graph(g)
+    # The guard comes first so that a large input fails at once; an
+    # edgeless g keeps NoOddCycleError first, since its cone is a star.
     if g.m:
-        _check_enum_guard(h.n, q)
-    return halfspace_system(h)
+        _check_enum_guard(g.n + 1, q)
+    return _cone_system(g)
+
+
+class _SearchIndex(NamedTuple):
+    # What the lattice search needs of a system beyond q and strictness, by
+    # 0-based coordinate i and constraint number c.  Each T is independent,
+    # so it is disjoint from its N = N(T).
+    listed: tuple[bool, ...]  # x_i >= 0 is listed
+    balance: tuple[int, ...]  # |N & listed| - |T & listed|
+    last_n: tuple[int, ...]  # the last coordinate in N, or -1
+    plus: tuple[tuple[int, ...], ...]  # the c with i in N
+    minus: tuple[tuple[int, ...], ...]  # the c with i in T
+    # The bound each c puts on the next value e_i (see _points).
+    floor_at: tuple[tuple[int, ...], ...]  # e_i >= -slack: i is the last of N
+    spend: tuple[tuple[int, ...], ...]  # e_i <= slack + left: i outside T u N
+    spend2: tuple[tuple[int, ...], ...]  # 2 e_i <= slack + left: i in T before N ends
+    cap: tuple[tuple[int, ...], ...]  # e_i <= slack: i in T after all of N
+
+
+def _index_constraints(system: HalfSpaceSystem) -> _SearchIndex:
+    n = system.ambient_n
+    listed = [False] * n
+    for v in system.coord_constraints:
+        listed[v - 1] = True
+    pairs = list(zip(system._t_idx, system._n_idx))
+    lists: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(6)]
+    plus, minus, floor_at, spend, spend2, cap = lists
+    last_n = []
+    for c, (t_idx, n_idx) in enumerate(pairs):
+        last = max(n_idx, default=-1)
+        last_n.append(last)
+        for i in n_idx:
+            plus[i].append(c)
+        if n_idx:
+            floor_at[last].append(c)
+        for i in t_idx:
+            minus[i].append(c)
+            (spend2 if i < last else cap)[i].append(c)
+        touched = set(t_idx) | set(n_idx)
+        for i in range(last):
+            if i not in touched:
+                spend[i].append(c)
+    return _SearchIndex(
+        tuple(listed),
+        tuple(
+            sum(listed[i] for i in n_idx) - sum(listed[i] for i in t_idx)
+            for t_idx, n_idx in pairs
+        ),
+        tuple(last_n),
+        *(tuple(map(tuple, per_i)) for per_i in lists),
+    )
 
 
 def _points(system: HalfSpaceSystem, q: int, strict: bool) -> Iterator[LatticePoint]:
     # The lattice points of the q-th dilation (strict: of its relative
-    # interior), ascending lexicographic, produced one at a time.  Under
-    # `strict` every candidate is >= 1 at the listed coordinates, so only
-    # the set constraints are left to test.
+    # interior), ascending lexicographic, produced one at a time by a
+    # depth-first search over the coordinates in order.
+    #
+    # Every point is x = low + e at the listed coordinates (low = 1 under
+    # `strict`, else 0) and x = e elsewhere, with e >= 0 summing to the
+    # excess 2q - sum(low); e and x share their lexicographic order, and
+    # e >= 0 leaves no budget short of the remaining minimums.  In terms of
+    # e each set constraint reads sum_N e - sum_T e >= need, and slack[c]
+    # holds the left side over the coordinates assigned so far minus need.
+    # With budget `left` still to place, the best completion puts all of it
+    # on an unassigned N coordinate if one is left, so a prefix can be
+    # completed only if slack + left >= 0 while c has an N coordinate to
+    # come, and slack >= 0 after that.  The value of the next coordinate
+    # moves each bound one way, so the values that keep every bound form an
+    # interval, and only those children are visited.
     _check_enum_guard(system.ambient_n, q)
     low = 1 if strict else 0
-    listed = set(system.coord_constraints)
-    mins = tuple(low if v in listed else 0 for v in range(1, system.ambient_n + 1))
-    for cand in _compositions(UNIT_COORDINATE_SUM * q, mins):
-        p = tuple(cand)
-        if _satisfies_sets(system, p, strict):
-            yield p
+    n = system.ambient_n
+    index = system._search_index
+    mins = [low if is_listed else 0 for is_listed in index.listed]
+    excess = UNIT_COORDINATE_SUM * q - sum(mins)
+    slack = [low * (b - 1) for b in index.balance]
+    if not n or excess < 0 or any(
+        s + (excess if last >= 0 else 0) < 0 for s, last in zip(slack, index.last_n)
+    ):
+        return
+    plus, minus = index.plus, index.minus
+    floor_at, spend, spend2, cap = index.floor_at, index.spend, index.spend2, index.cap
+    prefix = [0] * n
+    get = slack.__getitem__
+
+    def walk(i: int, left: int) -> Iterator[LatticePoint]:
+        lo = 0
+        if floor_at[i]:
+            lo = max(lo, -min(map(get, floor_at[i])))
+        hi = left
+        if spend[i]:
+            hi = min(hi, left + min(map(get, spend[i])))
+        if spend2[i]:
+            hi = min(hi, (left + min(map(get, spend2[i]))) // 2)
+        if cap[i]:
+            hi = min(hi, min(map(get, cap[i])))
+        if i == n - 1:
+            if lo <= left <= hi:
+                prefix[i] = mins[i] + left
+                yield tuple(prefix)
+            return
+        for e in range(lo, hi + 1):
+            for c in plus[i]:
+                slack[c] += e
+            for c in minus[i]:
+                slack[c] -= e
+            prefix[i] = mins[i] + e
+            yield from walk(i + 1, left - e)
+            for c in plus[i]:
+                slack[c] -= e
+            for c in minus[i]:
+                slack[c] += e
+
+    yield from walk(0, excess)
 
 
 def lattice_points(system: HalfSpaceSystem, q: int) -> tuple[LatticePoint, ...]:

@@ -6,11 +6,21 @@ deletion instead of reading D(G) off one maximum matching, so they share
 only `matching_number` with the library.  The odd cycle condition
 reference lists every chordless odd cycle and scans all pairs, where the
 library streams the cycles and tests each one's far side for an odd cycle.
+The lattice-point reference tests every composition of 2q against the
+membership test, where the library prunes a depth-first search on partial
+sums.
 """
 
 from __future__ import annotations
 
-from reesreg import GallaiEdmonds, Graph, induced_subgraph, matching_number
+from reesreg import (
+    GallaiEdmonds,
+    Graph,
+    HalfSpaceSystem,
+    induced_subgraph,
+    matching_number,
+    point_membership,
+)
 from reesreg.graphs import (
     components_within,
     iter_chordless_odd_cycles,
@@ -18,6 +28,7 @@ from reesreg.graphs import (
     mask_of,
     neighbor_mask,
 )
+from reesreg.polytope import UNIT_COORDINATE_SUM, LatticePoint
 
 
 def gallai_edmonds_by_deletion(g: Graph) -> GallaiEdmonds:
@@ -81,3 +92,30 @@ def satisfies_odd_cycle_condition_pairwise(g: Graph) -> bool:
             if not joined:
                 return False
     return True
+
+
+def lattice_points_by_composition(
+    system: HalfSpaceSystem, q: int, strict: bool
+) -> tuple[LatticePoint, ...]:
+    """The lattice points of the q-th dilation (strict: of its relative
+    interior), ascending lexicographic, by testing every integer vector of
+    coordinate sum 2q that is >= 1 (strict) or >= 0 at the listed
+    coordinates and >= 0 elsewhere against `point_membership`."""
+    low = 1 if strict else 0
+    listed = set(system.coord_constraints)
+    mins = [low if v in listed else 0 for v in range(1, system.ambient_n + 1)]
+    k = len(mins)
+    points = []
+
+    def rec(i: int, left: int, acc: list[int]) -> None:
+        if i == k:
+            p = tuple(acc)
+            if not left and point_membership(system, q, p, strict=strict):
+                points.append(p)
+            return
+        rest = sum(mins[i + 1:])
+        for c in range(mins[i], left - rest + 1):
+            rec(i + 1, left - c, acc + [c])
+
+    rec(0, UNIT_COORDINATE_SUM * q, [])
+    return tuple(points)

@@ -50,6 +50,7 @@ from reesreg import (
     verify_normality_small,
 )
 from reesreg.corpus import exhaustive_graphs, random_graphs
+from reesreg.polytope import _cone_system
 from reesreg.graphs import (
     components_within,
     induced_subgraph,
@@ -292,8 +293,9 @@ def polytope_six():
     building the cone-graph half-space system and checking: edge-point
     containment at q = 1, sampled sums of edge vectors, the canonical point
     (membership always, strictness exactly off the Tutte-Berge class), the
-    reduction move on every strict-interior point, and fundamentality of
-    the constructed witness."""
+    reduction move on every strict-interior point, fundamentality of the
+    constructed witness, and that the oracle's system read off g equals
+    the general build on the cone graph."""
     rng = random.Random(12)
     buckets: dict[str, list] = {
         name: []
@@ -304,6 +306,7 @@ def polytope_six():
             "canonical_member",
             "canonical_strict",
             "witness_fundamental",
+            "cone_system",
         )
     }
     graphs = 0
@@ -328,6 +331,8 @@ def polytope_six():
         graphs += 1
         star = cone_graph(g)
         system = halfspace_system(star)
+        if _cone_system(g) != system:
+            buckets["cone_system"].append(g)
 
         for u, v in star.edges:
             p = [0] * star.n
@@ -539,7 +544,7 @@ def test_criterion_7_lemma_suite(sweep_seven, sweep_six, polytope_six):
         problems.extend(
             _bucket_problems(
                 polytope_six["buckets"],
-                ("reduction", "canonical_member", "canonical_strict"),
+                ("reduction", "canonical_member", "canonical_strict", "cone_system"),
             )
         )
 

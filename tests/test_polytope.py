@@ -33,9 +33,10 @@ from reesreg import (
     regularity,
     verify_normality_small,
 )
+from reference import lattice_points_by_composition
 from reesreg.corpus import all_graphs, exhaustive_graphs, random_graphs
 from reesreg.graphs import components_within, mask_is_bipartite
-from reesreg.polytope import UNIT_COORDINATE_SUM
+from reesreg.polytope import UNIT_COORDINATE_SUM, _cone_system
 from reesreg.rees import RegularityStatus
 
 
@@ -168,12 +169,39 @@ def test_point_membership_validation():
 
 
 def test_strictness_matches_interior_filter():
+    # The strict points, filtered out of a brute-force walk of every point.
     system = halfspace_system(complete(4))
     for q in (1, 2, 3):
-        alls = lattice_points(system, q)
+        alls = lattice_points_by_composition(system, q, strict=False)
         assert list(alls) == sorted(alls)
         strict = [p for p in alls if point_membership(system, q, p, strict=True)]
         assert list(interior_lattice_points(system, q)) == strict
+
+
+def test_search_matches_composition_walk_small():
+    # Every point and every interior point of the first dilations, against
+    # the walk that tests each composition of 2q.  The triangle's own system
+    # (not a cone) has no coordinate constraints.
+    systems = [
+        halfspace_system(cone_graph(g)) for g in exhaustive_graphs(4) if g.m
+    ] + [halfspace_system(complete(3))]
+    for system in systems:
+        for q in (1, 2, 3):
+            assert lattice_points(system, q) == lattice_points_by_composition(
+                system, q, strict=False
+            ), (system, q)
+            assert interior_lattice_points(system, q) == (
+                lattice_points_by_composition(system, q, strict=True)
+            ), (system, q)
+
+
+def test_cone_system_matches_general_build_small():
+    for g in exhaustive_graphs(4):
+        if g.m == 0:
+            with pytest.raises(NoOddCycleError):
+                _cone_system(g)
+            continue
+        assert _cone_system(g) == halfspace_system(cone_graph(g)), g
 
 
 def test_interior_frozen_for_cone_of_triangle():
@@ -253,8 +281,9 @@ def test_oracle_preconditions():
 
 
 def test_oracle_matches_formula_small():
-    # The lazy search must return what a full scan of each dilation finds:
-    # no interior point below q0, and the lexicographically first one at q0.
+    # The pruned search must return what a brute-force scan of each dilation
+    # finds: no interior point below q0, and the lexicographically first one
+    # at q0.
     for g in exhaustive_graphs(5):
         res = regularity(g)
         if res.status is not RegularityStatus.COMPUTED:
@@ -263,9 +292,11 @@ def test_oracle_matches_formula_small():
         assert oracle.reg == res.reg
         assert oracle.q0 <= g.n + 1 - matching_number(g)
         system = halfspace_system(cone_graph(g))
-        assert oracle.interior_witness == interior_lattice_points(system, oracle.q0)[0]
+        at_q0 = lattice_points_by_composition(system, oracle.q0, strict=True)
+        assert oracle.interior_witness == at_q0[0]
         if oracle.q0 > 1:
-            assert interior_lattice_points(system, oracle.q0 - 1) == ()
+            below = lattice_points_by_composition(system, oracle.q0 - 1, strict=True)
+            assert below == ()
 
 
 def test_oracle_matches_formula_seeded_up_to_ambient_limit():
@@ -282,6 +313,54 @@ def test_oracle_matches_formula_seeded_up_to_ambient_limit():
         assert oracle.reg == res.reg, (g.n, g.edges)
         computed += 1
     assert computed >= 200
+
+
+def _q0_by_milp(system) -> int:
+    """The least k with an integer point x of coordinate sum 2k that is >= 1
+    at the listed coordinates and meets every set constraint strictly, by
+    scipy's mixed-integer solver."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n = system.ambient_n
+    # Variables x_1..x_n, then k.
+    rows = [[1] * n + [-UNIT_COORDINATE_SUM]]
+    lower, upper = [0], [0]
+    for t, nb in system.set_constraints:
+        row = [0] * (n + 1)
+        for v in nb:
+            row[v - 1] = 1
+        for v in t:
+            row[v - 1] = -1
+        rows.append(row)
+        lower.append(1)
+        upper.append(np.inf)
+    lb = [-np.inf] * n + [1]
+    for v in system.coord_constraints:
+        lb[v - 1] = 1
+    res = milp(
+        c=[0] * n + [1],
+        constraints=LinearConstraint(np.array(rows), lower, upper),
+        integrality=np.ones(n + 1),
+        bounds=Bounds(lb, np.inf),
+    )
+    assert res.success, res.message
+    return round(res.x[-1])
+
+
+def test_oracle_matches_milp_seeded_up_to_ambient_limit():
+    # An independent q0 reference past brute-force scale, on the graphs of
+    # the seeded test above.  Coordinates without a listed constraint are
+    # left unbounded, so the system alone keeps them nonnegative.
+    pytest.importorskip("scipy")
+    checked = 0
+    for g in random_graphs(11, 1100, seed=1):
+        if g.n < 9 or regularity(g).status is not RegularityStatus.COMPUTED:
+            continue
+        system = halfspace_system(cone_graph(g))
+        assert compute_q0(g).q0 == _q0_by_milp(system), (g.n, g.edges)
+        checked += 1
+    assert checked >= 200
 
 
 def test_reduction_move():

@@ -23,6 +23,7 @@ from reesreg import (
     write_graph,
 )
 from reesreg.cli import main
+from reesreg.corpus import check_graph
 
 
 def test_report_example_frozen_values():
@@ -242,6 +243,7 @@ def test_cli_corpus_small(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["graphs_tested"] == 75
     assert data["failures"] == []
+    assert data["oracle_skipped"] == 0
 
 
 def test_cli_corpus_random(capsys):
@@ -249,6 +251,30 @@ def test_cli_corpus_random(capsys):
     out = capsys.readouterr().out
     assert "graphs tested      50" in out
     assert "failures           0" in out
+    assert "oracle skipped" not in out
+
+
+def test_check_graph_runs_the_oracle_up_to_its_limit():
+    # The cone of an 11-vertex graph has 12 vertices, the ambient limit.
+    assert not check_graph(cycle(11)).oracle_skipped
+    past = check_graph(cycle(13))
+    assert past.oracle_skipped
+    assert past.failures == ()
+    # Only graphs the closed form computes would reach the oracle.
+    assert not check_graph(path(1)).oracle_skipped
+
+
+def test_cli_corpus_skips_the_oracle_past_its_limit(capsys):
+    # Six computed graphs have n >= 12, so their cone graphs are past the
+    # ambient guard: the sweep counts them and still checks the rest.
+    argv = ["corpus", "--max-n", "14", "--random", "40", "--seed", "1"]
+    assert main(argv + ["--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["graphs_tested"] == 40
+    assert data["oracle_skipped"] == 6
+    assert data["failures"] == []
+    assert main(argv) == 0
+    assert "oracle skipped     6" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
