@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .decomposition import tutte_berge_bruteforce
+from .decomposition import INDEPENDENT_ENUM_LIMIT, tutte_berge_bruteforce
 from .graphs import Graph
 from .polytope import ENUM_AMBIENT_LIMIT, compute_q0
 from .rees import RegularityStatus, regularity
@@ -151,8 +151,16 @@ def corpus_run(
 
     Exhaustive mode (random_samples None) walks every labeled graph with
     n <= max_n; random mode draws `random_samples` graphs from the seeded
-    stream.
+    stream.  Raises ValueError unless 1 <= max_n <= INDEPENDENT_ENUM_LIMIT
+    (the brute-force witness search runs on every graph) and
+    random_samples is None or >= 0.
     """
+    if not 1 <= max_n <= INDEPENDENT_ENUM_LIMIT:
+        raise ValueError(
+            f"max_n must be in 1..{INDEPENDENT_ENUM_LIMIT}, got {max_n}"
+        )
+    if random_samples is not None and random_samples < 0:
+        raise ValueError(f"random samples must be >= 0, got {random_samples}")
     if random_samples is None:
         stream: Iterator[Graph] = exhaustive_graphs(max_n)
     else:

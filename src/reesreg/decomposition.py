@@ -13,7 +13,7 @@ vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InstanceTooLargeError
 from .graphs import (
@@ -22,28 +22,35 @@ from .graphs import (
     _bfs,
     components_within,
     independent_sets,
-    induced_subgraph,
     labels_of,
     mask_of,
     neighbor_mask,
 )
-from .matching import _d_mask, matching_number, max_matching
+from .matching import (
+    Matching,
+    _d_mask,
+    _first_max_independent,
+    matching_number,
+    max_matching,
+)
 
 INDEPENDENT_ENUM_LIMIT = 20
 
 
 @dataclass(frozen=True)
 class GallaiEdmonds:
-    """The three-part decomposition, plus the components of D.
+    """The three-part decomposition, plus the components of D and the
+    maximum matching it was read from.
 
     All label tuples are sorted; `d_components` is ordered by smallest
-    member.
+    member.  Equality and repr ignore `matching`.
     """
 
     d_set: VertexSet
     a_set: VertexSet
     c_set: VertexSet
     d_components: tuple[VertexSet, ...]
+    matching: Matching = field(compare=False, repr=False)
 
     @property
     def deficiency(self) -> int:
@@ -71,7 +78,8 @@ def deficiency(g: Graph) -> int:
 
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:
     """D/A/C from one maximum matching and one search per exposed vertex."""
-    d_mask = _d_mask(g, max_matching(g))
+    matching = max_matching(g)
+    d_mask = _d_mask(g, matching)
     a_mask = neighbor_mask(g, d_mask) & ~d_mask
     c_mask = g.full_mask & ~d_mask & ~a_mask
     comps = tuple(labels_of(m) for m in components_within(g, d_mask))
@@ -80,6 +88,7 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
         a_set=labels_of(a_mask),
         c_set=labels_of(c_mask),
         d_components=comps,
+        matching=matching,
     )
 
 
@@ -122,50 +131,24 @@ def tutte_berge_witness(g: Graph) -> TutteBergeWitness | None:
 
 def _witness(g: Graph, ge: GallaiEdmonds) -> TutteBergeWitness | None:
     # The decomposition restricts to each component, so D and C of a
-    # component are D(G) and C(G) intersected with it.
+    # component are D(G) and C(G) intersected with it.  Every maximum
+    # matching matches C(G) perfectly within itself, so ge.matching is
+    # maximum on the union of the bipartite parts, and no edge joins two
+    # parts: one walk finds all their first maximum independent sets.
     if not ge.tutte_berge:
         return None
     d_mask = mask_of(ge.d_set)
-    picked: list[int] = []
-    bipartite_parts = []
+    c_mask = mask_of(ge.c_set)
+    picked = 0
+    parts = 0
     for comp, _, bipartite in _bfs(g, g.full_mask):
         if bipartite:
-            bipartite_parts.append(comp)
+            parts |= comp
         elif comp & d_mask:
-            picked.extend(labels_of(comp & d_mask))
-            bipartite_parts.extend(
-                part for part, _, b in _bfs(g, comp & mask_of(ge.c_set)) if b
-            )
-    for part in bipartite_parts:
-        picked.extend(_first_max_independent_bipartite(g, part))
-    return TutteBergeWitness(t_set=tuple(sorted(picked)), deficiency=ge.deficiency)
-
-
-def _first_max_independent_bipartite(g: Graph, mask: int) -> list[int]:
-    """The lexicographically smallest maximum independent set of the
-    bipartite subgraph induced on `mask`, the one `max_independent_set`
-    returns.  Konig gives alpha = |S| - mat on every induced S, so a greedy
-    in ascending label order takes v exactly when removing N[v] from what
-    is left costs alpha one: one matching per vertex."""
-
-    def alpha(m: int) -> int:
-        sub, _ = induced_subgraph(g, labels_of(m))
-        return sub.n - matching_number(sub)
-
-    picked = []
-    rest = mask
-    left = alpha(rest)
-    for v in labels_of(mask):
-        if not rest >> v & 1:
-            continue
-        rest &= ~(1 << v)
-        without = rest & ~g.adj_bits[v]
-        # A vertex with no neighbor left is in every maximum independent set.
-        if without == rest or alpha(without) == left - 1:
-            picked.append(v)
-            rest = without
-            left -= 1
-    return picked
+            picked |= comp & d_mask
+            parts |= sum(part for part, _, b in _bfs(g, comp & c_mask) if b)
+    t_set = mask_of(_first_max_independent(g, ge.matching, parts)) | picked
+    return TutteBergeWitness(t_set=labels_of(t_set), deficiency=ge.deficiency)
 
 
 __all__ = [

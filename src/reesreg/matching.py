@@ -5,7 +5,8 @@ contraction).  Roots are tried in ascending label order and adjacency is
 scanned in ascending label order, so the returned matching itself is
 deterministic, not just its size.  `matching_number_bruteforce` is the
 independent oracle: plain branch and bound over the edge list.  The Konig
-test is a 2-SAT problem on one maximum matching.
+test and the first maximum independent set of a Konig graph are one 2-SAT
+walk on one maximum matching.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InstanceTooLargeError
-from .graphs import Graph, VertexSet, mask_of
+from .graphs import Graph, VertexSet, labels_of, mask_of
 
 BRUTEFORCE_EDGE_LIMIT = 26
 
@@ -175,76 +176,70 @@ def is_factor_critical(g: Graph) -> bool:
 
 
 def is_konig(g: Graph) -> bool:
-    """Konig property: independence number + matching number = |V|.
+    """Konig property: independence number + matching number = |V|."""
+    return _first_max_independent(g, max_matching(g), g.full_mask) is not None
 
-    That is, some vertex cover has |M| vertices for a maximum matching M.
-    Such a cover holds exactly one endpoint of each M-edge and no exposed
-    vertex, so it is a 2-SAT assignment: variable i says the smaller end
-    of M-edge i is in the cover, and every edge of g must have an end in
-    it (Deming 1979; Sterboul 1979; Aspvall-Plass-Tarjan 1979).
+
+def _first_max_independent(
+    g: Graph, matching: Matching, mask: int
+) -> VertexSet | None:
+    """The lexicographically smallest maximum independent set of g[mask],
+    or None when g[mask] is not Konig.  The edges of `matching` inside
+    `mask` must form a maximum matching M of g[mask].
+
+    g[mask] is Konig when some vertex cover has |M| vertices.  Such a
+    cover holds exactly one end of each M-edge and no exposed vertex, so
+    it is a 2-SAT assignment (Deming 1979; Sterboul 1979), and its
+    complement is a maximum independent set.  Walking the vertices in
+    ascending label order, each is kept out of the cover when unit
+    propagation allows it and put in otherwise; a choice that propagates
+    without conflict leaves a subset of the clauses, so when both choices
+    conflict there is no such cover (Even-Itai-Shamir 1976).  A choice
+    that conflicts closes an odd cycle, so on a bipartite g[mask] each
+    vertex is propagated once; otherwise each choice can cost O(m).
     """
-    # Literal 2i: the smaller end of M-edge i is in the cover; 2i + 1: the
-    # larger end.  A literal's negation flips its last bit.
-    matching = max_matching(g)
-    lit = [-1] * (g.n + 1)
-    for i, (u, v) in enumerate(matching.edges):
-        lit[u], lit[v] = 2 * i, 2 * i + 1
-    implies: list[list[int]] = [[] for _ in range(2 * matching.size)]
-    for u, v in g.edges:
-        a, b = lit[u], lit[v]
-        if a < 0:
-            # u is exposed, so v is matched (M is maximum) and must cover.
-            implies[b ^ 1].append(b)
-        elif b < 0:
-            implies[a ^ 1].append(a)
-        elif a ^ 1 != b:
-            implies[a ^ 1].append(b)
-            implies[b ^ 1].append(a)
-    comp = _strong_components(implies)
-    return all(comp[x] != comp[x + 1] for x in range(0, len(implies), 2))
+    mate = [0] * (g.n + 1)
+    matched = 0
+    for u, v in matching.edges:
+        if mask >> u & 1 and mask >> v & 1:
+            mate[u], mate[v] = v, u
+            matched |= 1 << u | 1 << v
 
+    def close(out: int, cover: int, new: int) -> tuple[int, int] | None:
+        # Propagate from the vertices `new` just kept out: their neighbors
+        # must cover, so the mates of those neighbors are out.  `out` and
+        # `cover` take both ends of a decided M-edge, one each; a neighbor
+        # whose mate is forced too lands in both, and the conflict shows
+        # when it is taken from `new`.
+        while new:
+            v = (new & -new).bit_length() - 1
+            new &= new - 1
+            forced = g.adj_bits[v] & mask & ~cover
+            if forced & out:
+                return None
+            freed = 0
+            rest = forced
+            while rest:
+                freed |= 1 << mate[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
+            cover |= forced
+            out |= freed
+            new |= freed
+        return out, cover
 
-def _strong_components(succ: list[list[int]]) -> list[int]:
-    """Strong component index of each node of a digraph (iterative Tarjan)."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n
-    stack: list[int] = []
-    counter = 0
-    found = 0
-    for root in range(n):
-        if index[root] >= 0:
+    exposed = mask & ~matched
+    state = close(exposed, 0, exposed)
+    for v in labels_of(matched):
+        if state is None:
+            return None
+        out, cover = state
+        if (out | cover) >> v & 1:
             continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if comp[w] < 0 and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        comp[w] = found
-                        if w == v:
-                            break
-                    found += 1
-    return comp
+        keep, other = 1 << v, 1 << mate[v]
+        state = close(out | keep, cover | other, keep) or close(
+            out | other, cover | keep, other
+        )
+    return None if state is None else labels_of(state[0])
 
 
 __all__ = [

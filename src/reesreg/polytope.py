@@ -16,7 +16,7 @@ whose relative interior contains a lattice point, the regularity of the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterator, NamedTuple
@@ -113,20 +113,6 @@ class HalfSpaceSystem:
     ambient_n: int
     coord_constraints: tuple[int, ...]
     set_constraints: tuple[tuple[VertexSet, VertexSet], ...]
-    _t_idx: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    _n_idx: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "_t_idx",
-            tuple(tuple(v - 1 for v in t) for t, _ in self.set_constraints),
-        )
-        object.__setattr__(
-            self,
-            "_n_idx",
-            tuple(tuple(v - 1 for v in nb) for _, nb in self.set_constraints),
-        )
 
     @cached_property
     def _search_index(self) -> _SearchIndex:
@@ -224,16 +210,6 @@ def _cone_system(g: Graph) -> HalfSpaceSystem:
     return _checked_system(h, coords, tuple(fundamental))
 
 
-def _satisfies_sets(system: HalfSpaceSystem, point: LatticePoint, strict: bool) -> bool:
-    # sum_T x <= sum_N x for every fundamental T, strictly under `strict`.
-    for t_idx, n_idx in zip(system._t_idx, system._n_idx):
-        lhs = sum(point[i] for i in t_idx)
-        rhs = sum(point[i] for i in n_idx)
-        if lhs > rhs or (strict and lhs == rhs):
-            return False
-    return True
-
-
 def point_membership(
     system: HalfSpaceSystem, q: int, point: LatticePoint, strict: bool = False
 ) -> bool:
@@ -255,7 +231,12 @@ def point_membership(
     low = 1 if strict else 0
     if any(point[i - 1] < low for i in system.coord_constraints):
         return False
-    return _satisfies_sets(system, point, strict)
+    for t, nb in system.set_constraints:
+        lhs = sum(point[v - 1] for v in t)
+        rhs = sum(point[v - 1] for v in nb)
+        if lhs > rhs or (strict and lhs == rhs):
+            return False
+    return True
 
 
 def _check_enum_guard(ambient_n: int, q: int) -> None:
@@ -299,7 +280,10 @@ def _index_constraints(system: HalfSpaceSystem) -> _SearchIndex:
     listed = [False] * n
     for v in system.coord_constraints:
         listed[v - 1] = True
-    pairs = list(zip(system._t_idx, system._n_idx))
+    pairs = [
+        (tuple(v - 1 for v in t), tuple(v - 1 for v in nb))
+        for t, nb in system.set_constraints
+    ]
     lists: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(6)]
     plus, minus, floor_at, spend, spend2, cap = lists
     last_n = []

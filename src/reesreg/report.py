@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 from .decomposition import _witness, gallai_edmonds
 from .graphs import Graph, VertexSet, is_bipartite
-from .matching import is_konig
+from .matching import _first_max_independent
 from .polytope import OracleResult, compute_q0
 from .rees import (
     RegularityResult,
@@ -145,12 +145,13 @@ def build_report(
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    konig = is_konig(g)
-    timings["matching"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
     ge = gallai_edmonds(g)
     timings["decomposition"] = (time.perf_counter() - t0) * 1000.0
+
+    t0 = time.perf_counter()
+    # The Konig test on the matching GE was read from.
+    konig = _first_max_independent(g, ge.matching, g.full_mask) is not None
+    timings["matching"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
     # The odd cycle condition implies normality (see rees.is_rees_normal).

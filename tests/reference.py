@@ -3,7 +3,7 @@
 The Gallai-Edmonds and factor-critical references use the vertex-deletion
 characterization: they rerun the blossom matching on every single-vertex
 deletion instead of reading D(G) off one maximum matching, so they share
-only `matching_number` with the library.  The odd cycle condition
+only the blossom matching with the library.  The odd cycle condition
 reference lists every chordless odd cycle and scans all pairs, where the
 library streams the cycles and tests each one's far side for an odd cycle.
 The lattice-point reference tests every composition of 2q against the
@@ -19,6 +19,7 @@ from reesreg import (
     HalfSpaceSystem,
     induced_subgraph,
     matching_number,
+    max_matching,
     point_membership,
 )
 from reesreg.graphs import (
@@ -34,7 +35,8 @@ from reesreg.polytope import UNIT_COORDINATE_SUM, LatticePoint
 def gallai_edmonds_by_deletion(g: Graph) -> GallaiEdmonds:
     """D/A/C by n + 1 matching runs: v is in D(G) iff deleting v does not
     drop the matching number."""
-    mat = matching_number(g)
+    matching = max_matching(g)
+    mat = matching.size
     d_mask = 0
     all_mask = g.full_mask
     for v in g.vertices:
@@ -48,6 +50,7 @@ def gallai_edmonds_by_deletion(g: Graph) -> GallaiEdmonds:
         a_set=labels_of(a_mask),
         c_set=labels_of(c_mask),
         d_components=tuple(labels_of(m) for m in components_within(g, d_mask)),
+        matching=matching,
     )
 
 

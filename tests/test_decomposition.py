@@ -9,11 +9,13 @@ from reesreg import (
     InstanceTooLargeError,
     complete,
     complete_bipartite,
+    connected_components,
     cycle,
     deficiency,
     disjoint_union,
     gallai_edmonds,
     independent_sets,
+    induced_subgraph,
     is_factor_critical,
     is_konig,
     is_tutte_berge,
@@ -137,6 +139,43 @@ def test_witness_of_bipartite_graph_is_first_max_independent_set():
         a = rng.randint(1, 10)
         g = _random_bipartite(rng, a, rng.randint(1, 16 - a), rng.uniform(0.05, 0.6))
         assert tutte_berge_witness(g).t_set == max_independent_set(g), g
+
+
+def _parts_witness(g: Graph) -> tuple[int, ...]:
+    """The witness assembled part by part from brute force: D of each
+    non-bipartite component that meets D, and `max_independent_set` of each
+    bipartite component of G and of G[C] within those components."""
+    ge = gallai_edmonds(g)
+    picked: list[int] = []
+
+    def first_max_independent(labels) -> None:
+        sub, back = induced_subgraph(g, labels)
+        picked.extend(back[v] for v in max_independent_set(sub))
+
+    for comp in connected_components(g):
+        sub, _ = induced_subgraph(g, comp)
+        d = [v for v in comp if v in ge.d_set]
+        if is_bipartite(sub):
+            first_max_independent(comp)
+        elif d:
+            picked.extend(d)
+            c_sub, c_back = induced_subgraph(g, [v for v in comp if v in ge.c_set])
+            for part in connected_components(c_sub):
+                if is_bipartite(induced_subgraph(c_sub, part)[0]):
+                    first_max_independent([c_back[v] for v in part])
+    return tuple(sorted(picked))
+
+
+def test_witness_of_every_small_tutte_berge_graph_is_assembled_from_parts():
+    # Non-bipartite graphs whose witness takes some vertex of C(G).
+    c_parts = 0
+    for g in exhaustive_graphs(6):
+        w = tutte_berge_witness(g)
+        if w is None:
+            continue
+        assert w.t_set == _parts_witness(g), g
+        c_parts += not is_bipartite(g) and bool(set(w.t_set) & set(gallai_edmonds(g).c_set))
+    assert c_parts > 100
 
 
 def test_decomposition_contract_small():

@@ -23,7 +23,8 @@ from reesreg import (
     write_graph,
 )
 from reesreg.cli import main
-from reesreg.corpus import check_graph
+from reesreg.corpus import check_graph, corpus_run
+from reesreg.matching import max_matching
 
 
 def test_report_example_frozen_values():
@@ -168,10 +169,10 @@ def test_cli_regularity_json(tmp_path, capsys):
 
 
 def test_cli_regularity_skips_report_only_stages(tmp_path, monkeypatch, capsys):
-    def no_konig(g):
+    def no_konig(g, matching, mask):
         raise AssertionError("regularity must not run the Konig test")
 
-    monkeypatch.setattr("reesreg.report.is_konig", no_konig)
+    monkeypatch.setattr("reesreg.report._first_max_independent", no_konig)
     target = _write(tmp_path, "c5.txt", cycle(5))
     assert main(["regularity", target, "--oracle"]) == 0
     assert capsys.readouterr().out == (
@@ -191,14 +192,30 @@ def test_cli_regularity_skips_report_only_stages(tmp_path, monkeypatch, capsys):
     }
 
 
+def _patch_every_binding(monkeypatch, module: str, name: str, replacement) -> None:
+    # Rebind `name` in every reesreg module that imported it from `module`.
+    original = getattr(sys.modules[module], name)
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("reesreg") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
+
+
 def test_cli_classify_runs_no_independent_set_search(tmp_path, monkeypatch, capsys):
     # The Konig test, the witness and the odd cycle condition are all
     # polynomial on these 100-vertex inputs; a brute-force independent set
-    # search would not finish.
+    # search would not finish.  The Konig test and the witness read GE's
+    # matching on masks of G, so no induced subgraph is built either.
     def no_search(g, k):
         raise AssertionError("classify must not enumerate independent sets")
 
+    def no_subgraph(g, labels):
+        raise AssertionError("classify must not build induced subgraphs")
+
     monkeypatch.setattr("reesreg.graphs._independent_of_size", no_search)
+    _patch_every_binding(monkeypatch, "reesreg.graphs", "induced_subgraph", no_subgraph)
+    ex = _write(tmp_path, "ex_c4.txt", disjoint_union(paper_example(), cycle(4)))
+    assert main(["classify", ex, "--json", "--witness"]) == 0
+    assert json.loads(capsys.readouterr().out)["tb_witness"] == [1, 2, 8, 10]
     kab = _write(tmp_path, "k50_50.txt", complete_bipartite(50, 50))
     assert main(["classify", kab, "--json", "--witness"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -208,6 +225,21 @@ def test_cli_classify_runs_no_independent_set_search(tmp_path, monkeypatch, caps
     assert main(["classify", sparse, "--json", "--witness"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["n"] == 100
+
+
+def test_report_runs_the_blossom_once(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return max_matching(g)
+
+    _patch_every_binding(monkeypatch, "reesreg.matching", "max_matching", counted)
+    for g in (paper_example(), random_graph(30, 0.15, 1)):
+        calls.clear()
+        r = build_report(g, with_witness=True)
+        assert len(calls) == 1, g
+        assert r.tutte_berge == (r.tb_witness is not None)
 
 
 def test_cli_ged_json(tmp_path, capsys):
@@ -286,11 +318,29 @@ def test_cli_corpus_skips_the_oracle_past_its_limit(capsys):
         ["gen", "cycle"],
         [],
         ["frobnicate"],
+        ["corpus", "--random", "-3"],
+        ["corpus", "--max-n", "-2"],
+        ["corpus", "--max-n", "0", "--random", "5"],
+        ["corpus", "--max-n", "30", "--random", "5", "--seed", "1"],
     ],
 )
 def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):
     assert main(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "max_n, samples, named",
+    [(6, -3, "-3"), (-2, None, "-2"), (0, 5, "0"), (30, 5, "30"), (21, None, "21")],
+)
+def test_corpus_checks_its_arguments_before_drawing(max_n, samples, named, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("no graph may be drawn")
+
+    monkeypatch.setattr("reesreg.corpus.random_graphs", no_draw)
+    monkeypatch.setattr("reesreg.corpus.exhaustive_graphs", no_draw)
+    with pytest.raises(ValueError, match=f"got {named}$"):
+        corpus_run(max_n, samples, seed=1)
 
 
 def test_cli_parse_error_exit_2(tmp_path, capsys):
