@@ -14,9 +14,14 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .decomposition import INDEPENDENT_ENUM_LIMIT, tutte_berge_bruteforce
+from .errors import InstanceTooLargeError
 from .graphs import Graph
 from .polytope import ENUM_AMBIENT_LIMIT, compute_q0
 from .rees import RegularityStatus, regularity
+
+# Largest n an exhaustive sweep walks: n = 7 alone is 2^21 labeled graphs,
+# and n = 8 is 2^28.
+EXHAUSTIVE_N_LIMIT = 7
 
 
 @dataclass(frozen=True)
@@ -153,7 +158,8 @@ def corpus_run(
     n <= max_n; random mode draws `random_samples` graphs from the seeded
     stream.  Raises ValueError unless 1 <= max_n <= INDEPENDENT_ENUM_LIMIT
     (the brute-force witness search runs on every graph) and
-    random_samples is None or >= 0.
+    random_samples is None or >= 0, and InstanceTooLargeError for an
+    exhaustive sweep past EXHAUSTIVE_N_LIMIT; all before any graph is drawn.
     """
     if not 1 <= max_n <= INDEPENDENT_ENUM_LIMIT:
         raise ValueError(
@@ -161,6 +167,11 @@ def corpus_run(
         )
     if random_samples is not None and random_samples < 0:
         raise ValueError(f"random samples must be >= 0, got {random_samples}")
+    if random_samples is None and max_n > EXHAUSTIVE_N_LIMIT:
+        raise InstanceTooLargeError(
+            f"an exhaustive sweep is limited to max_n <= {EXHAUSTIVE_N_LIMIT}"
+            f" (a random sweep is not), got {max_n}"
+        )
     if random_samples is None:
         stream: Iterator[Graph] = exhaustive_graphs(max_n)
     else:

@@ -6,21 +6,48 @@ cycles are joined by an edge) and at most one component of G is
 non-bipartite.  For a normal Rees algebra over a graph with at least two
 edges, the Castelnuovo-Mumford regularity is mat(G) when G is Tutte-Berge
 and mat(G) + 1 otherwise.
+
+No polynomial test of the odd cycle condition is known to us.
+`satisfies_odd_cycle_condition` decides it in three stages, each sound on
+its own:
+
+1. A bipartite graph has no odd cycle, so it passes.
+2. Refute first.  The BFS layers of the first non-bipartite component close
+   a short odd closed walk W (2k + 1 edges, as in `bipartite_check`).  W
+   contains an odd cycle C, and N[C] lies in N[W], so an odd cycle of
+   G - N[W] is disjoint from C and not joined to it: the graph fails.
+3. Exact search.  A violating pair of odd cycles shrinks to a violating
+   pair of chordless odd cycles (each to a chordless odd cycle inside its
+   own vertex set).  Call C1 the one whose least vertex s is the smaller,
+   and C2 the other.  The search grows the induced paths from each start s
+   and fails the graph when one closes into a chordless odd cycle C such
+   that G[{v > s} - N[C]] has an odd cycle.  It prunes without losing C1:
+   - C1 lies inside one biconnected block, which holds s and an odd cycle.
+     So a start s is tried only in a non-bipartite block (one
+     Hopcroft-Tarjan pass finds the blocks), and its paths grow only
+     inside the non-bipartite blocks that hold s, through vertices above s.
+   - C2 lies in {v > s}, and that set shrinks as s grows, so the starts
+     stop once G[{v > s}] is bipartite.
+   - C2 lies in {v > s} - N[P] for every prefix P of C1, and that set
+     shrinks as P grows, so a path is dropped once the set is bipartite.
+     The search carries the union of the set's non-bipartite components:
+     an odd cycle left after an extension lies inside it.
+   The search is still exponential in the worst case, so it raises
+   InstanceTooLargeError after OCC_STEP_LIMIT induced paths.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterator
 
 from .decomposition import GallaiEdmonds, gallai_edmonds
-from .graphs import (
-    Graph,
-    iter_chordless_odd_cycles,
-    mask_is_bipartite,
-    mask_of,
-    neighbor_mask,
-)
+from .errors import InstanceTooLargeError
+from .graphs import Graph, _bfs, mask_is_bipartite, neighbor_mask
+
+# Induced paths the exact odd cycle condition search may grow.
+OCC_STEP_LIMIT = 1_000_000
 
 
 class RegularityStatus(enum.Enum):
@@ -46,23 +73,177 @@ class RegularityResult:
 def satisfies_odd_cycle_condition(g: Graph) -> bool:
     """Every two vertex-disjoint odd cycles are joined by an edge.
 
-    Fails exactly when, for some chordless odd cycle C, the graph left
-    after deleting C and its neighbors still has an odd cycle: an odd
-    cycle there is disjoint from C and not joined to it, and a violating
-    pair of odd cycles always contains a chordless one (shrink a cycle to
-    a chordless odd cycle inside its vertex set).  The cycles are
-    streamed, and the first such C ends the search.  A bipartite graph has
-    no odd cycle, so it passes without the enumeration.
+    Decided in the three stages of the module docstring.  Raises
+    InstanceTooLargeError when the exact search grows more than
+    OCC_STEP_LIMIT induced paths.
     """
     full = g.full_mask
-    if mask_is_bipartite(g, full):
+    layers = next((lay for _, lay, bipartite in _bfs(g, full) if not bipartite), None)
+    if layers is None:
         return True
-    for c in iter_chordless_odd_cycles(g):
-        c_mask = mask_of(c)
-        far = full & ~c_mask & ~neighbor_mask(g, c_mask)
-        # On a dense graph most far sides are empty; skip the search there.
-        if far and not mask_is_bipartite(g, far):
-            return False
+    walk = _odd_walk_mask(g, layers)
+    if not mask_is_bipartite(g, full & ~walk & ~neighbor_mask(g, walk)):
+        return False
+    return _chordless_search(g)
+
+
+def _odd_walk_mask(g: Graph, layers: list[int]) -> int:
+    # The vertices of an odd closed walk, closed as `bipartite_check` closes
+    # its own: an edge inside the first layer k that holds one, and a path
+    # from each end down through layers k - 1, ..., 0 (2k + 1 edges).  The
+    # ends a and b are kept as one-bit masks.
+    adj = g.adj_bits
+    for k, layer in enumerate(layers):
+        rest = layer
+        while rest and not adj[(rest & -rest).bit_length() - 1] & layer:
+            rest &= rest - 1
+        if rest:
+            break
+    a = rest & -rest
+    b = adj[a.bit_length() - 1] & layer
+    b &= -b
+    walk = a | b
+    for prev in reversed(layers[:k]):
+        a = adj[a.bit_length() - 1] & prev
+        b = adj[b.bit_length() - 1] & prev
+        a &= -a
+        b &= -b
+        walk |= a | b
+    return walk
+
+
+def _odd_part(g: Graph, mask: int) -> int:
+    """Union of the non-bipartite components of g[mask]."""
+    out = 0
+    for comp, _, bipartite in _bfs(g, mask):
+        if not bipartite:
+            out |= comp
+    return out
+
+
+def _blocks(g: Graph) -> Iterator[int]:
+    """Vertex masks of the biconnected blocks that have an edge, by one
+    iterative depth-first search (Hopcroft-Tarjan 1973).  A vertex's
+    `low` is the least discovery time reachable from its subtree by one
+    back edge; a child v with low[v] >= disc[p] closes a block at p."""
+    adj = g.adj_bits
+    disc = [0] * (g.n + 1)
+    low = [0] * (g.n + 1)
+    t = 0
+    for root in g.vertices:
+        if disc[root]:
+            continue
+        t += 1
+        disc[root] = low[root] = t
+        # Visited vertices not yet in a closed block, in discovery order.
+        pending = [root]
+        # Each frame: vertex, its parent, the neighbors not yet scanned.
+        walk = [[root, 0, adj[root]]]
+        while walk:
+            frame = walk[-1]
+            v, p, rest = frame
+            if rest:
+                w = (rest & -rest).bit_length() - 1
+                frame[2] = rest & (rest - 1)
+                if not disc[w]:
+                    t += 1
+                    disc[w] = low[w] = t
+                    pending.append(w)
+                    walk.append([w, v, adj[w] & ~(1 << v)])
+                elif disc[w] < low[v]:
+                    low[v] = disc[w]
+                continue
+            walk.pop()
+            if not p:
+                continue
+            if low[v] < low[p]:
+                low[p] = low[v]
+            if low[v] >= disc[p]:
+                block = 1 << p
+                while True:
+                    x = pending.pop()
+                    block |= 1 << x
+                    if x == v:
+                        break
+                yield block
+
+
+def _chordless_search(g: Graph) -> bool:
+    """Stage 3: is there no chordless odd cycle C with least vertex s such
+    that g[{v > s} - N[C]] has an odd cycle?"""
+    adj = g.adj_bits
+    # in_block[s]: the union of the non-bipartite blocks that hold s.  It
+    # is built at the first start that survives the cheaper tests, which on
+    # a dense graph is often none.
+    in_block = None
+
+    def shrink(live: int, w: int) -> int:
+        # The odd part of g[far - N[w]], where `live` is that of g[far].
+        gone = adj[w] | 1 << w
+        return _odd_part(g, live & ~gone) if live & gone else live
+
+    steps = 0
+    for s in g.vertices:
+        above = g.full_mask & ~((2 << s) - 1)
+        if in_block is not None and not in_block[s] & above:
+            continue
+        if mask_is_bipartite(g, above):
+            break
+        s_adj = adj[s]
+        live = _odd_part(g, above & ~s_adj)
+        if not live:
+            continue
+        if in_block is None:
+            in_block = [0] * (g.n + 1)
+            for block in _blocks(g):
+                if not mask_is_bipartite(g, block):
+                    rest = block
+                    while rest:
+                        in_block[(rest & -rest).bit_length() - 1] |= block
+                        rest &= rest - 1
+        inside = in_block[s] & above
+        if not inside:
+            continue
+        # Induced paths s, v1, ..., last, each as (last, v1, path mask,
+        # closed neighborhood of the vertices strictly between s and last,
+        # vertex count, odd part of g[{v > s} - N[path]]).
+        stack = []
+        rest = s_adj & inside
+        while rest:
+            v1 = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            lv = shrink(live, v1)
+            if lv:
+                stack.append((v1, v1, 1 << s | 1 << v1, 0, 2, lv))
+        while stack:
+            last, v1, path, inner, length, live = stack.pop()
+            cand = adj[last] & inside & ~path & ~inner
+            if not length & 1:
+                # Closing at w makes an odd cycle; test each once, in the
+                # orientation where its second vertex is the smaller.
+                close = cand & s_adj & ~((2 << v1) - 1)
+                while close:
+                    w = (close & -close).bit_length() - 1
+                    close &= close - 1
+                    if shrink(live, w):
+                        return False
+            grow = cand & ~s_adj
+            if not grow:
+                continue
+            inner_w = inner | adj[last] | 1 << last
+            while grow:
+                w = (grow & -grow).bit_length() - 1
+                grow &= grow - 1
+                lw = shrink(live, w)
+                if not lw:
+                    continue
+                steps += 1
+                if steps > OCC_STEP_LIMIT:
+                    raise InstanceTooLargeError(
+                        f"the odd cycle condition search grew more than"
+                        f" OCC_STEP_LIMIT = {OCC_STEP_LIMIT} induced paths"
+                    )
+                stack.append((w, v1, path | 1 << w, inner_w, length + 1, lw))
     return True
 
 
@@ -97,4 +278,5 @@ __all__ = [
     "satisfies_odd_cycle_condition",
     "is_rees_normal",
     "regularity",
+    "OCC_STEP_LIMIT",
 ]

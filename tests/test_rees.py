@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
 from reesreg import (
     Graph,
+    InstanceTooLargeError,
     RegularityStatus,
     complete,
+    complete_bipartite,
     cycle,
     disjoint_union,
     is_rees_normal,
@@ -18,9 +21,12 @@ from reesreg import (
     random_graph,
     regularity,
     satisfies_odd_cycle_condition,
+    write_graph,
 )
+from reesreg import rees
+from reesreg.cli import main
 from reesreg.corpus import all_graphs
-from reesreg.graphs import is_bipartite
+from reesreg.graphs import is_bipartite, labels_of, mask_is_bipartite, mask_of
 from reference import satisfies_odd_cycle_condition_pairwise
 
 
@@ -124,3 +130,156 @@ def test_odd_cycle_condition_matches_pairwise_reference_seeded():
         assert occ == satisfies_odd_cycle_condition_pairwise(g), g
         verdicts.add(occ)
     assert verdicts == {True, False}
+
+
+# Structured graphs for the pruned search.  Each builder returns (n, edges)
+# on labels 1..n; the test permutes the labels so that the least vertex of
+# a cycle, where the search starts, falls anywhere in the graph.
+
+
+def _odd_cycle(edges: list, first: int, k: int, at: int | None = None) -> list[int]:
+    # Adds a k-cycle through the existing vertex `at` (which becomes a cut
+    # vertex) or, without it, through new vertices only.  New vertices are
+    # numbered from `first`.  Returns the cycle's vertices.
+    vs = ([] if at is None else [at]) + list(range(first, first + k - (at is not None)))
+    edges.extend(zip(vs, vs[1:] + vs[:1]))
+    return vs
+
+
+def _cycles_at_cut_vertices(rng: random.Random) -> tuple[int, list]:
+    edges: list = []
+    vs = _odd_cycle(edges, 1, rng.choice((3, 5, 7)))
+    n = len(vs)
+    for _ in range(rng.randint(1, 3)):
+        new = _odd_cycle(edges, n + 1, rng.choice((3, 5, 7)), at=rng.randint(1, n))
+        n += len(new) - 1
+    return n, edges
+
+
+def _cycles_on_a_tree(rng: random.Random) -> tuple[int, list]:
+    t = rng.randint(2, 12)
+    edges = [(v, rng.randint(1, v - 1)) for v in range(2, t + 1)]
+    n = t
+    for _ in range(rng.randint(1, 3)):
+        k = rng.choice((3, 5, 7))
+        if rng.random() < 0.5:
+            _odd_cycle(edges, n + 1, k, at=rng.randint(1, t))
+            n += k - 1
+        else:
+            _odd_cycle(edges, n + 1, k)
+            edges.append((rng.randint(1, t), n + 1))
+            n += k
+    return n, edges
+
+
+def _linked_cycles(rng: random.Random, length: int) -> tuple[int, list]:
+    edges: list = []
+    a = _odd_cycle(edges, 1, rng.choice((3, 5, 7)))
+    b = _odd_cycle(edges, len(a) + 1, rng.choice((3, 5, 7)))
+    n = len(a) + len(b)
+    inner = list(range(n + 1, n + length))
+    chain = [rng.choice(a)] + inner + [rng.choice(b)]
+    edges.extend(zip(chain, chain[1:]))
+    return n + length - 1, edges
+
+
+def _triangles_on_even_cycle(rng: random.Random) -> tuple[int, list]:
+    k = 2 * rng.randint(2, 6)
+    edges = list(zip(range(1, k + 1), list(range(2, k + 1)) + [1]))
+    n = k
+    for _ in range(rng.randint(1, 3)):
+        n += 1
+        u = rng.randint(1, k)
+        if rng.random() < 0.5:
+            edges += [(u, n), (u % k + 1, n)]
+        else:
+            edges += [(u, n), (u, n + 1), (n, n + 1)]
+            n += 1
+    return n, edges
+
+
+@pytest.mark.parametrize(
+    "build, verdicts",
+    [
+        (_cycles_at_cut_vertices, {True, False}),
+        (_cycles_on_a_tree, {True, False}),
+        # Two odd cycles joined by an edge pass; linked by a longer path,
+        # they are disjoint and unjoined.
+        (partial(_linked_cycles, length=1), {True}),
+        (partial(_linked_cycles, length=2), {False}),
+        (partial(_linked_cycles, length=3), {False}),
+        (_triangles_on_even_cycle, {True, False}),
+    ],
+    ids=["cut-vertices", "tree", "linked-1", "linked-2", "linked-3", "even-cycle"],
+)
+def test_odd_cycle_condition_on_permuted_structured_graphs(build, verdicts):
+    rng = random.Random(88)
+    seen = set()
+    for _ in range(60):
+        n, edges = build(rng)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        g = Graph.from_edges(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+        occ = satisfies_odd_cycle_condition(g)
+        assert occ == satisfies_odd_cycle_condition_pairwise(g), g
+        seen.add(occ)
+    assert seen == verdicts
+
+
+def test_nonbipartite_blocks_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(9)
+    odd_blocks = 0
+    for _ in range(40):
+        n = rng.randint(20, 200)
+        g = random_graph(n, rng.uniform(0.8, 3.0) / n, seed=rng.randrange(1 << 30))
+        ref = nx.Graph()
+        ref.add_nodes_from(g.vertices)
+        ref.add_edges_from(g.edges)
+        blocks = [mask_of(b) for b in nx.biconnected_components(ref)]
+        assert sorted(rees._blocks(g)) == sorted(blocks), g
+        odd = sorted(
+            b for b in blocks if not nx.is_bipartite(ref.subgraph(labels_of(b)))
+        )
+        assert sorted(b for b in rees._blocks(g) if not mask_is_bipartite(g, b)) == odd
+        odd_blocks += len(odd)
+    assert odd_blocks > 0
+
+
+def _bipartite_plus_triangle() -> Graph:
+    # The graph of the CI step: a sparse random bipartite graph on 1..300
+    # and a disjoint triangle on 301..303.
+    rng = random.Random(1)
+    edges = [
+        (u, v) for u in range(1, 151) for v in range(151, 301) if rng.random() < 1.75 / 150
+    ]
+    return Graph.from_edges(303, edges + [(301, 302), (301, 303), (302, 303)])
+
+
+def test_odd_cycle_condition_hard_inputs_within_a_small_budget(monkeypatch):
+    # Inputs on which enumerating every chordless odd cycle takes from a
+    # tenth of a second to minutes; the pruned search needs few paths.
+    monkeypatch.setattr(rees, "OCC_STEP_LIMIT", 10_000)
+    k50 = complete_bipartite(50, 50)
+    plus_edge = Graph.from_edges(100, list(k50.edges) + [(1, 2)])
+    for g, expected in (
+        (cycle(321), True),
+        (complete(24), True),
+        (plus_edge, True),
+        (_bipartite_plus_triangle(), True),
+        (random_graph(320, 1.5 / 320, seed=1), False),
+    ):
+        assert satisfies_odd_cycle_condition(g) is expected, g.n
+
+
+def test_odd_cycle_condition_step_budget(monkeypatch, tmp_path, capsys):
+    # Passes the first two stages and grows 10 induced paths in the third.
+    g = random_graph(14, 0.2, seed=138)
+    assert regularity(g).status is RegularityStatus.COMPUTED
+    monkeypatch.setattr(rees, "OCC_STEP_LIMIT", 3)
+    with pytest.raises(InstanceTooLargeError, match="OCC_STEP_LIMIT = 3"):
+        regularity(g)
+    f = tmp_path / "g.txt"
+    f.write_text(write_graph(g), encoding="utf-8")
+    assert main(["classify", str(f)]) == 2
+    assert "OCC_STEP_LIMIT" in capsys.readouterr().err

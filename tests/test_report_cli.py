@@ -11,6 +11,7 @@ import pytest
 
 from reesreg import (
     ClassificationReport,
+    InstanceTooLargeError,
     RegularityStatus,
     build_report,
     complete,
@@ -23,7 +24,7 @@ from reesreg import (
     write_graph,
 )
 from reesreg.cli import main
-from reesreg.corpus import check_graph, corpus_run
+from reesreg.corpus import EXHAUSTIVE_N_LIMIT, check_graph, corpus_run
 from reesreg.matching import max_matching
 
 
@@ -322,6 +323,7 @@ def test_cli_corpus_skips_the_oracle_past_its_limit(capsys):
         ["corpus", "--max-n", "-2"],
         ["corpus", "--max-n", "0", "--random", "5"],
         ["corpus", "--max-n", "30", "--random", "5", "--seed", "1"],
+        ["corpus", "--max-n", "8"],
     ],
 )
 def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):
@@ -331,7 +333,14 @@ def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "max_n, samples, named",
-    [(6, -3, "-3"), (-2, None, "-2"), (0, 5, "0"), (30, 5, "30"), (21, None, "21")],
+    [
+        (6, -3, "-3"),
+        (-2, None, "-2"),
+        (0, 5, "0"),
+        (30, 5, "30"),
+        (21, None, "21"),
+        (8, None, "8"),
+    ],
 )
 def test_corpus_checks_its_arguments_before_drawing(max_n, samples, named, monkeypatch):
     def no_draw(*args):
@@ -341,6 +350,14 @@ def test_corpus_checks_its_arguments_before_drawing(max_n, samples, named, monke
     monkeypatch.setattr("reesreg.corpus.exhaustive_graphs", no_draw)
     with pytest.raises(ValueError, match=f"got {named}$"):
         corpus_run(max_n, samples, seed=1)
+
+
+def test_exhaustive_corpus_past_its_limit_is_too_large(monkeypatch):
+    # n = 8 alone is 2^28 labeled graphs; random mode still takes max_n = 8.
+    monkeypatch.setattr("reesreg.corpus.exhaustive_graphs", None)
+    with pytest.raises(InstanceTooLargeError, match=f"<= {EXHAUSTIVE_N_LIMIT} "):
+        corpus_run(EXHAUSTIVE_N_LIMIT + 1)
+    assert corpus_run(8, 3, seed=1).graphs_tested == 3
 
 
 def test_cli_parse_error_exit_2(tmp_path, capsys):
