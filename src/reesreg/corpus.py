@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .decomposition import INDEPENDENT_ENUM_LIMIT, tutte_berge_bruteforce
 from .errors import InstanceTooLargeError
-from .graphs import Graph
+from .graphs import Graph, _gnp
 from .polytope import ENUM_AMBIENT_LIMIT, compute_q0
 from .rees import RegularityStatus, regularity
 
@@ -88,14 +88,7 @@ def random_graphs(max_n: int, samples: int, seed: int) -> Iterator[Graph]:
     rng = random.Random(seed)
     for _ in range(samples):
         n = rng.randint(1, max_n)
-        p = rng.random()
-        edges = [
-            (u, v)
-            for u in range(1, n + 1)
-            for v in range(u + 1, n + 1)
-            if rng.random() < p
-        ]
-        yield Graph.from_edges(n, edges)
+        yield _gnp(n, rng.random(), rng)
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,7 @@ def _witness(g: Graph, ge: GallaiEdmonds) -> TutteBergeWitness | None:
         elif comp & d_mask:
             picked |= comp & d_mask
             parts |= sum(part for part, _, b in _bfs(g, comp & c_mask) if b)
-    t_set = mask_of(_first_max_independent(g, ge.matching, parts)) | picked
+    t_set = _first_max_independent(g, ge.matching, parts) | picked
     return TutteBergeWitness(t_set=labels_of(t_set), deficiency=ge.deficiency)
 
 

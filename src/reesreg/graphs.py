@@ -2,13 +2,16 @@
 the package is built on.
 
 Graphs are immutable and hashable.  Vertices are labelled 1..n and an edge is
-an unordered pair stored as (u, v) with u < v.  Internally every set of
-vertices is also kept as an integer bitmask (bit v stands for vertex v), which
-is what makes the exhaustive corpus sweeps affordable in pure Python.
+an unordered pair stored as (u, v) with u < v.  Internally a set of vertices
+is only ever an integer bitmask (bit v stands for vertex v, bit 0 is unused),
+adjacency included, which is what makes the exhaustive corpus sweeps
+affordable in pure Python.  Sorted label tuples appear only in public return
+values.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -28,15 +31,13 @@ def mask_of(labels: Iterable[int]) -> int:
 
 
 def labels_of(mask: int) -> VertexSet:
-    """Ascending labels of a bitmask."""
+    """Ascending labels of a bitmask, one step per set bit; bit 0 is ignored."""
     out = []
-    v = 1
-    m = mask >> 1
+    m = mask & ~1
     while m:
-        if m & 1:
-            out.append(v)
-        v += 1
-        m >>= 1
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
     return tuple(out)
 
 
@@ -52,7 +53,6 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
     adj_bits: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    adj_lists: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -69,9 +69,6 @@ class Graph:
             bits[u] |= 1 << v
             bits[v] |= 1 << u
         object.__setattr__(self, "adj_bits", tuple(bits))
-        object.__setattr__(
-            self, "adj_lists", tuple(labels_of(b) for b in bits)
-        )
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
@@ -108,7 +105,7 @@ class Graph:
 
     def neighbors(self, v: int) -> VertexSet:
         self._check_vertex(v)
-        return self.adj_lists[v]
+        return labels_of(self.adj_bits[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -227,14 +224,14 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be >= 0")
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must be in [0, 1]")
-    rng = random.Random(seed)
-    edges = [
-        (u, v)
-        for u in range(1, n + 1)
-        for v in range(u + 1, n + 1)
-        if rng.random() < p
-    ]
-    return Graph.from_edges(n, edges)
+    return _gnp(n, p, random.Random(seed))
+
+
+def _gnp(n: int, p: float, rng: random.Random) -> Graph:
+    # G(n, p) on the draws of `rng`: each pair (u, v), in lexicographic
+    # order, is kept when the next draw is < p.
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return Graph(n, tuple(e for e in pairs if rng.random() < p))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -365,24 +362,40 @@ class BipartiteCheck:
 
 
 def bipartite_check(g: Graph) -> BipartiteCheck:
-    """The sides are the even and odd BFS layers.  The odd walk closes an
-    edge inside layer k through layers k - 1, ..., 0 on both ends: 2k + 1
-    edges."""
-    adj = g.adj_bits
+    """The sides are the even and odd BFS layers; the odd walk is
+    `_odd_walk` of the first non-bipartite component."""
     sides = [0, 0]
     for _, layers, bipartite in _bfs(g, g.full_mask):
         if not bipartite:
-            k = next(k for k, layer in enumerate(layers) if neighbor_mask(g, layer) & layer)
-            layer = layers[k]
-            u = next(v for v in labels_of(layer) if adj[v] & layer)
-            up, down = [u], [labels_of(adj[u] & layer)[0]]
-            for prev in reversed(layers[:k]):
-                up.append(labels_of(adj[up[-1]] & prev)[0])
-                down.append(labels_of(adj[down[-1]] & prev)[0])
-            return BipartiteCheck(False, None, tuple(up + down[::-1][1:] + [u]))
+            return BipartiteCheck(False, None, _odd_walk(g, layers))
         for k, layer in enumerate(layers):
             sides[k & 1] |= layer
     return BipartiteCheck(True, (labels_of(sides[0]), labels_of(sides[1])), None)
+
+
+def _odd_walk(g: Graph, layers: list[int]) -> tuple[int, ...]:
+    """An odd closed walk of the non-bipartite component with BFS `layers`
+    (as `_bfs` yields them), first vertex repeated last.  It takes the
+    lowest vertex u of the first layer k that holds an edge, its lowest
+    neighbor w in that layer, and from each of u and w the path down
+    through layers k - 1, ..., 0 by lowest neighbors: 2k + 1 edges."""
+    adj = g.adj_bits
+    for k, layer in enumerate(layers):
+        rest = layer
+        while rest and not adj[(rest & -rest).bit_length() - 1] & layer:
+            rest &= rest - 1
+        if rest:
+            break
+    # The walk's vertices are one-bit masks until the end.
+    u = rest & -rest
+    w = adj[u.bit_length() - 1] & layer
+    up, down = [u], [w & -w]
+    for prev in reversed(layers[:k]):
+        a = adj[up[-1].bit_length() - 1] & prev
+        b = adj[down[-1].bit_length() - 1] & prev
+        up.append(a & -a)
+        down.append(b & -b)
+    return tuple(x.bit_length() - 1 for x in up + down[-2::-1] + up[:1])
 
 
 def is_bipartite(g: Graph) -> bool:
@@ -476,16 +489,15 @@ def iter_chordless_odd_cycles(g: Graph) -> Iterator[Cycle]:
     adj = g.adj_bits
     for s in g.vertices:
         s_bit = 1 << s
-        for v1 in g.adj_lists[s]:
-            if v1 <= s:
-                continue
+        above = g.full_mask & ~((2 << s) - 1)
+        for v1 in labels_of(adj[s] & above):
             stack = [([s, v1], s_bit | (1 << v1))]
             while stack:
                 path_, mask = stack.pop()
                 last = path_[-1]
                 mid = mask & ~(1 << last) & ~s_bit
-                for w in g.adj_lists[last]:
-                    if w <= s or (mask >> w & 1) or (adj[w] & mid):
+                for w in labels_of(adj[last] & above & ~mask):
+                    if adj[w] & mid:
                         continue
                     if adj[w] & s_bit:
                         if len(path_) >= 2 and (len(path_) + 1) % 2 == 1 and path_[1] < w:

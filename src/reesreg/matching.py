@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InstanceTooLargeError
-from .graphs import Graph, VertexSet, labels_of, mask_of
+from .graphs import Graph, VertexSet, labels_of
 
 BRUTEFORCE_EDGE_LIMIT = 26
 
@@ -70,51 +70,54 @@ def _try_augment(g: Graph, mate: list[int], root: int) -> int | None:
     # One phase of the blossom search: grow an alternating BFS forest from
     # `root`, contracting odd cycles via the `base` array, and flip the first
     # augmenting path found (None), or else return the outer (`used`) mask.
-    n = g.n
-    parent = [0] * (n + 1)
-    base = list(range(n + 1))
-    used = [False] * (n + 1)
-    used[root] = True
+    adj = g.adj_bits
+    parent = [0] * (g.n + 1)
+    base = list(range(g.n + 1))
+    used = 1 << root
     queue = deque([root])
 
     def find_base(a: int, b: int) -> int:
-        seen = [False] * (n + 1)
+        seen = 0
         while True:
             a = base[a]
-            seen[a] = True
+            seen |= 1 << a
             if mate[a] == 0:
                 break
             a = parent[mate[a]]
         while True:
             b = base[b]
-            if seen[b]:
+            if seen >> b & 1:
                 return b
             b = parent[mate[b]]
 
-    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int) -> int:
+        # The mask of the bases on the tree path from v down to base b.
+        blossom = 0
         while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[mate[v]]] = True
+            blossom |= 1 << base[v] | 1 << base[mate[v]]
             parent[v] = child
             child = mate[v]
             v = parent[mate[v]]
+        return blossom
 
     while queue:
         v = queue.popleft()
-        for to in g.adj_lists[v]:
+        rest = adj[v]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            to = low.bit_length() - 1
             if base[v] == base[to] or mate[v] == to:
                 continue
             if to == root or (mate[to] != 0 and parent[mate[to]] != 0):
                 # Odd cycle: contract the blossom through the common base.
                 cur_base = find_base(v, to)
-                in_blossom = [False] * (n + 1)
-                mark_path(v, cur_base, to, in_blossom)
-                mark_path(to, cur_base, v, in_blossom)
-                for i in range(1, n + 1):
-                    if in_blossom[base[i]]:
+                blossom = mark_path(v, cur_base, to) | mark_path(to, cur_base, v)
+                for i in range(1, g.n + 1):
+                    if blossom >> base[i] & 1:
                         base[i] = cur_base
-                        if not used[i]:
-                            used[i] = True
+                        if not used >> i & 1:
+                            used |= 1 << i
                             queue.append(i)
             elif parent[to] == 0:
                 parent[to] = v
@@ -127,9 +130,9 @@ def _try_augment(g: Graph, mate: list[int], root: int) -> int | None:
                         mate[to] = pv
                         to = next_exposed
                     return None
-                used[mate[to]] = True
+                used |= 1 << mate[to]
                 queue.append(mate[to])
-    return mask_of(v for v in g.vertices if used[v])
+    return used
 
 
 def matching_number_bruteforce(g: Graph) -> int:
@@ -180,12 +183,10 @@ def is_konig(g: Graph) -> bool:
     return _first_max_independent(g, max_matching(g), g.full_mask) is not None
 
 
-def _first_max_independent(
-    g: Graph, matching: Matching, mask: int
-) -> VertexSet | None:
-    """The lexicographically smallest maximum independent set of g[mask],
-    or None when g[mask] is not Konig.  The edges of `matching` inside
-    `mask` must form a maximum matching M of g[mask].
+def _first_max_independent(g: Graph, matching: Matching, mask: int) -> int | None:
+    """The mask of the lexicographically smallest maximum independent set
+    of g[mask], or None when g[mask] is not Konig.  The edges of `matching`
+    inside `mask` must form a maximum matching M of g[mask].
 
     g[mask] is Konig when some vertex cover has |M| vertices.  Such a
     cover holds exactly one end of each M-edge and no exposed vertex, so
@@ -239,7 +240,7 @@ def _first_max_independent(
         state = close(out | keep, cover | other, keep) or close(
             out | other, cover | keep, other
         )
-    return None if state is None else labels_of(state[0])
+    return None if state is None else state[0]
 
 
 __all__ = [

@@ -13,9 +13,10 @@ its own:
 
 1. A bipartite graph has no odd cycle, so it passes.
 2. Refute first.  The BFS layers of the first non-bipartite component close
-   a short odd closed walk W (2k + 1 edges, as in `bipartite_check`).  W
-   contains an odd cycle C, and N[C] lies in N[W], so an odd cycle of
-   G - N[W] is disjoint from C and not joined to it: the graph fails.
+   a short odd closed walk W (2k + 1 edges; `graphs._odd_walk`, which also
+   gives `bipartite_check` its walk).  W contains an odd cycle C, and N[C]
+   lies in N[W], so an odd cycle of G - N[W] is disjoint from C and not
+   joined to it: the graph fails.
 3. Exact search.  A violating pair of odd cycles shrinks to a violating
    pair of chordless odd cycles (each to a chordless odd cycle inside its
    own vertex set).  Call C1 the one whose least vertex s is the smaller,
@@ -44,7 +45,7 @@ from typing import Iterator
 
 from .decomposition import GallaiEdmonds, gallai_edmonds
 from .errors import InstanceTooLargeError
-from .graphs import Graph, _bfs, mask_is_bipartite, neighbor_mask
+from .graphs import Graph, _bfs, _odd_walk, mask_is_bipartite, mask_of, neighbor_mask
 
 # Induced paths the exact odd cycle condition search may grow.
 OCC_STEP_LIMIT = 1_000_000
@@ -81,35 +82,10 @@ def satisfies_odd_cycle_condition(g: Graph) -> bool:
     layers = next((lay for _, lay, bipartite in _bfs(g, full) if not bipartite), None)
     if layers is None:
         return True
-    walk = _odd_walk_mask(g, layers)
+    walk = mask_of(_odd_walk(g, layers))
     if not mask_is_bipartite(g, full & ~walk & ~neighbor_mask(g, walk)):
         return False
     return _chordless_search(g)
-
-
-def _odd_walk_mask(g: Graph, layers: list[int]) -> int:
-    # The vertices of an odd closed walk, closed as `bipartite_check` closes
-    # its own: an edge inside the first layer k that holds one, and a path
-    # from each end down through layers k - 1, ..., 0 (2k + 1 edges).  The
-    # ends a and b are kept as one-bit masks.
-    adj = g.adj_bits
-    for k, layer in enumerate(layers):
-        rest = layer
-        while rest and not adj[(rest & -rest).bit_length() - 1] & layer:
-            rest &= rest - 1
-        if rest:
-            break
-    a = rest & -rest
-    b = adj[a.bit_length() - 1] & layer
-    b &= -b
-    walk = a | b
-    for prev in reversed(layers[:k]):
-        a = adj[a.bit_length() - 1] & prev
-        b = adj[b.bit_length() - 1] & prev
-        a &= -a
-        b &= -b
-        walk |= a | b
-    return walk
 
 
 def _odd_part(g: Graph, mask: int) -> int:

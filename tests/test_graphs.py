@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graphs
 from reesreg import (
@@ -30,7 +32,7 @@ from reesreg import (
     random_graph,
     write_graph,
 )
-from reesreg.corpus import all_graphs
+from reesreg.corpus import all_graphs, random_graphs
 from reesreg.graphs import components_within, labels_of, mask_is_bipartite, mask_of
 
 
@@ -38,6 +40,28 @@ def test_mask_round_trip():
     assert mask_of(()) == 0
     assert labels_of(0) == ()
     assert labels_of(mask_of((3, 1, 5))) == (1, 3, 5)
+    # Labels start at 1: bit 0 is never a vertex.
+    assert labels_of(0b1011) == (1, 3)
+
+
+@settings(max_examples=200)
+@given(st.sets(st.integers(min_value=1, max_value=5000), max_size=40))
+def test_mask_round_trip_on_large_labels(labels):
+    assert labels_of(mask_of(labels)) == tuple(sorted(labels))
+    assert labels_of(mask_of(labels | {1001})) == tuple(sorted(labels | {1001}))
+
+
+def test_long_path_parses_in_linear_time():
+    # Building a graph must not cost O(n) per vertex, which at this size
+    # is minutes of CPU.
+    text = write_graph(path(20_000))
+    start = time.process_time()
+    g = parse_graph(text)
+    assert time.process_time() - start < 2.0
+    assert (g.n, g.m) == (20_000, 19_999)
+    assert g.neighbors(1) == (2,)
+    assert g.neighbors(10_000) == (9_999, 10_001)
+    assert g.neighbors(20_000) == (19_999,)
 
 
 def test_graph_normalization_and_accessors():
@@ -138,6 +162,22 @@ def test_random_graph_is_deterministic():
     assert a == b
     assert a.n == 9
     assert a != c
+
+
+def test_random_streams_are_frozen():
+    # A change to the order of the draws changes every seeded corpus and
+    # test input drawn from these streams.
+    assert random_graph(9, 0.4, seed=11).edges == (
+        (1, 8), (2, 5), (2, 6), (2, 7), (3, 4), (3, 9),
+        (4, 5), (4, 7), (4, 8), (4, 9), (5, 6), (8, 9),
+    )
+    assert [(g.n, g.edges) for g in random_graphs(8, 5, seed=1)] == [
+        (3, ((1, 3), (2, 3))),
+        (8, ((1, 2), (1, 3), (1, 6), (2, 4), (2, 7), (2, 8), (3, 4), (3, 6), (5, 8))),
+        (1, ()),
+        (2, ()),
+        (5, ()),
+    ]
 
 
 def test_disjoint_union_relabels_second_block():

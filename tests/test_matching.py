@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -9,9 +10,11 @@ from conftest import graphs
 from reesreg import (
     Graph,
     InstanceTooLargeError,
+    bipartite_check,
     complete,
     complete_bipartite,
     cycle,
+    gallai_edmonds,
     has_perfect_matching,
     independence_number,
     independent_sets,
@@ -122,3 +125,40 @@ def test_factor_critical_neighbor_bound_spot_checks():
         assert is_factor_critical(g)
         for t in independent_sets(g):
             assert len(t) <= len(neighbor_set(g, t))
+
+
+# sha256 of the outputs below over `_pinned_graphs`, one repr per line.  The
+# witness and the report read this exact matching and walk, so a change of
+# scan order must fail here and not only in the benchmark digests.
+PINNED_DIGESTS = {
+    "max_matching": "404edda32e9d4d80c9e4abbcd123331ecf2d174770b56df64cf7fbb714429f24",
+    "gallai_edmonds": "ed0bdb02676fe3bea8361d3b7d2bc14cda4d91a3016d78c57766e1d0c98d7f1e",
+    "bipartite_check": "deb6427c4534d18117a781b4adfd0f6c8021b498a17ccf6ffc88bdaf9401c802",
+}
+
+
+def _pinned_graphs():
+    for n in range(7):
+        yield from all_graphs(n)
+    for n in (20, 40, 80, 160, 320):
+        for c in (1, 2, 3):
+            for seed in range(4):
+                yield random_graph(n, c / n, seed)
+
+
+def _pinned_view(name, g):
+    if name == "max_matching":
+        return max_matching(g).edges
+    if name == "gallai_edmonds":
+        ge = gallai_edmonds(g)
+        return ge.d_set, ge.a_set, ge.c_set, ge.d_components
+    check = bipartite_check(g)
+    return check.sides, check.odd_closed_walk
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_blossom_and_odd_walk_outputs_are_pinned(name):
+    h = hashlib.sha256()
+    for g in _pinned_graphs():
+        h.update(repr(_pinned_view(name, g)).encode() + b"\n")
+    assert h.hexdigest() == PINNED_DIGESTS[name]
