@@ -484,7 +484,10 @@ def iter_chordless_odd_cycles(g: Graph) -> Iterator[Cycle]:
     A cycle is emitted as its vertex tuple starting at its smallest vertex,
     oriented so the second vertex is smaller than the last.  The enumeration
     grows induced paths from the smallest cycle vertex, so a cycle is seen
-    exactly once.
+    exactly once.  It has no work budget and can run for a long time on a
+    sparse graph of a few hundred vertices; the package does not call it
+    (`rees.satisfies_odd_cycle_condition` has its own budgeted search), and
+    it is kept as the reference the tests compare that search against.
     """
     adj = g.adj_bits
     for s in g.vertices:
@@ -507,5 +510,6 @@ def iter_chordless_odd_cycles(g: Graph) -> Iterator[Cycle]:
 
 
 def chordless_odd_cycles(g: Graph) -> tuple[Cycle, ...]:
-    """All chordless odd cycles, shortest first, then lexicographic."""
+    """All chordless odd cycles, shortest first, then lexicographic.  No
+    work budget either: a test reference, like `iter_chordless_odd_cycles`."""
     return tuple(sorted(iter_chordless_odd_cycles(g), key=lambda c: (len(c), c)))

@@ -3,10 +3,12 @@
 `max_matching` is an unweighted blossom search (alternating BFS with cycle
 contraction).  Roots are tried in ascending label order and adjacency is
 scanned in ascending label order, so the returned matching itself is
-deterministic, not just its size.  `matching_number_bruteforce` is the
-independent oracle: plain branch and bound over the edge list.  The Konig
-test and the first maximum independent set of a Konig graph are one 2-SAT
-walk on one maximum matching.
+deterministic, not just its size.  A search costs its own tree, not the
+graph: the `parent` and `base` arrays are allocated once per call and
+shared by its searches, each of which resets only the entries of its tree.
+`matching_number_bruteforce` is the independent oracle: plain branch and
+bound over the edge list.  The Konig test and the first maximum independent
+set of a Konig graph are one 2-SAT walk on one maximum matching.
 """
 
 from __future__ import annotations
@@ -38,10 +40,23 @@ class Matching:
 def max_matching(g: Graph) -> Matching:
     """A maximum matching of g, deterministic for a fixed graph."""
     n = g.n
+    adj = g.adj_bits
     mate = [0] * (n + 1)
+    parent = [0] * (n + 1)
+    base = list(range(n + 1))
     for root in range(1, n + 1):
-        if mate[root] == 0:
-            _try_augment(g, mate, root)
+        if mate[root]:
+            continue
+        # The search scans the root's neighbors first, in ascending order,
+        # and the first exposed one augments: match it without the search.
+        rest = adj[root]
+        while rest and mate[(rest & -rest).bit_length() - 1]:
+            rest &= rest - 1
+        if rest:
+            near = (rest & -rest).bit_length() - 1
+            mate[root], mate[near] = near, root
+        else:
+            _try_augment(g, mate, root, parent, base)
     edges = tuple(
         (v, mate[v]) for v in range(1, n + 1) if mate[v] > v
     )
@@ -59,21 +74,29 @@ def _d_mask(g: Graph, matching: Matching) -> int:
     mate = [0] * (g.n + 1)
     for u, v in matching.edges:
         mate[u], mate[v] = v, u
+    parent = [0] * (g.n + 1)
+    base = list(range(g.n + 1))
     d = 0
     for root in g.vertices:
         if mate[root] == 0:
-            d |= _try_augment(g, mate, root)
+            d |= _try_augment(g, mate, root, parent, base)
     return d
 
 
-def _try_augment(g: Graph, mate: list[int], root: int) -> int | None:
-    # One phase of the blossom search: grow an alternating BFS forest from
+def _try_augment(
+    g: Graph, mate: list[int], root: int, parent: list[int], base: list[int]
+) -> int | None:
+    # One phase of the blossom search: grow an alternating BFS tree from
     # `root`, contracting odd cycles via the `base` array, and flip the first
     # augmenting path found (None), or else return the outer (`used`) mask.
+    # `parent` and `base` are the caller's, shared by all its searches: they
+    # read 0 and the identity outside the tree, and the search resets the
+    # entries of its tree (`tree`, inner and outer vertices) before it
+    # returns, so it costs what its tree costs.
     adj = g.adj_bits
-    parent = [0] * (g.n + 1)
-    base = list(range(g.n + 1))
-    used = 1 << root
+    if not adj[root]:
+        return 1 << root
+    used = tree = 1 << root
     queue = deque([root])
 
     def find_base(a: int, b: int) -> int:
@@ -100,39 +123,58 @@ def _try_augment(g: Graph, mate: list[int], root: int) -> int | None:
             v = parent[mate[v]]
         return blossom
 
-    while queue:
-        v = queue.popleft()
-        rest = adj[v]
+    try:
+        while queue:
+            v = queue.popleft()
+            rest = adj[v]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                to = low.bit_length() - 1
+                if base[v] == base[to] or mate[v] == to:
+                    continue
+                if to == root or (mate[to] != 0 and parent[mate[to]] != 0):
+                    # Odd cycle: contract the blossom through the common
+                    # base.  Only tree vertices can have their base in it,
+                    # and the tree is walked in ascending label order.
+                    cur_base = find_base(v, to)
+                    blossom = mark_path(v, cur_base, to)
+                    blossom |= mark_path(to, cur_base, v)
+                    walk = tree
+                    while walk:
+                        bit = walk & -walk
+                        walk ^= bit
+                        i = bit.bit_length() - 1
+                        if blossom >> base[i] & 1:
+                            base[i] = cur_base
+                            if not used & bit:
+                                used |= bit
+                                queue.append(i)
+                elif parent[to] == 0:
+                    parent[to] = v
+                    tree |= low
+                    if mate[to] == 0:
+                        # Augmenting path: flip it back to the root.
+                        while to != 0:
+                            pv = parent[to]
+                            next_exposed = mate[pv]
+                            mate[pv] = to
+                            mate[to] = pv
+                            to = next_exposed
+                        return None
+                    outer = 1 << mate[to]
+                    used |= outer
+                    tree |= outer
+                    queue.append(mate[to])
+        return used
+    finally:
+        rest = tree
         while rest:
             low = rest & -rest
             rest ^= low
-            to = low.bit_length() - 1
-            if base[v] == base[to] or mate[v] == to:
-                continue
-            if to == root or (mate[to] != 0 and parent[mate[to]] != 0):
-                # Odd cycle: contract the blossom through the common base.
-                cur_base = find_base(v, to)
-                blossom = mark_path(v, cur_base, to) | mark_path(to, cur_base, v)
-                for i in range(1, g.n + 1):
-                    if blossom >> base[i] & 1:
-                        base[i] = cur_base
-                        if not used >> i & 1:
-                            used |= 1 << i
-                            queue.append(i)
-            elif parent[to] == 0:
-                parent[to] = v
-                if mate[to] == 0:
-                    # Augmenting path: flip matched/unmatched back to root.
-                    while to != 0:
-                        pv = parent[to]
-                        next_exposed = mate[pv]
-                        mate[pv] = to
-                        mate[to] = pv
-                        to = next_exposed
-                    return None
-                used |= 1 << mate[to]
-                queue.append(mate[to])
-    return used
+            i = low.bit_length() - 1
+            parent[i] = 0
+            base[i] = i
 
 
 def matching_number_bruteforce(g: Graph) -> int:

@@ -17,12 +17,15 @@ its own:
    gives `bipartite_check` its walk).  W contains an odd cycle C, and N[C]
    lies in N[W], so an odd cycle of G - N[W] is disjoint from C and not
    joined to it: the graph fails.
-3. Exact search.  A violating pair of odd cycles shrinks to a violating
-   pair of chordless odd cycles (each to a chordless odd cycle inside its
-   own vertex set).  Call C1 the one whose least vertex s is the smaller,
-   and C2 the other.  The search grows the induced paths from each start s
-   and fails the graph when one closes into a chordless odd cycle C such
-   that G[{v > s} - N[C]] has an odd cycle.  It prunes without losing C1:
+3. Exact search, inside the first non-bipartite component K only: W lies
+   in K, so G - N[W] holds every other component, and stage 2 found it
+   bipartite, so every odd cycle lies in K.  A violating pair of odd
+   cycles shrinks to a violating pair of chordless odd cycles (each to a
+   chordless odd cycle inside its own vertex set).  Call C1 the one whose
+   least vertex s is the smaller, and C2 the other.  The search grows the
+   induced paths from each start s and fails the graph when one closes
+   into a chordless odd cycle C such that G[{v > s} - N[C]] has an odd
+   cycle.  It prunes without losing C1:
    - C1 lies inside one biconnected block, which holds s and an odd cycle.
      So a start s is tried only in a non-bipartite block (one
      Hopcroft-Tarjan pass finds the blocks), and its paths grow only
@@ -45,7 +48,15 @@ from typing import Iterator
 
 from .decomposition import GallaiEdmonds, gallai_edmonds
 from .errors import InstanceTooLargeError
-from .graphs import Graph, _bfs, _odd_walk, mask_is_bipartite, mask_of, neighbor_mask
+from .graphs import (
+    Graph,
+    _bfs,
+    _odd_walk,
+    labels_of,
+    mask_is_bipartite,
+    mask_of,
+    neighbor_mask,
+)
 
 # Induced paths the exact odd cycle condition search may grow.
 OCC_STEP_LIMIT = 1_000_000
@@ -79,13 +90,14 @@ def satisfies_odd_cycle_condition(g: Graph) -> bool:
     OCC_STEP_LIMIT induced paths.
     """
     full = g.full_mask
-    layers = next((lay for _, lay, bipartite in _bfs(g, full) if not bipartite), None)
-    if layers is None:
+    odd = next(((c, lay) for c, lay, bipartite in _bfs(g, full) if not bipartite), None)
+    if odd is None:
         return True
+    comp, layers = odd
     walk = mask_of(_odd_walk(g, layers))
     if not mask_is_bipartite(g, full & ~walk & ~neighbor_mask(g, walk)):
         return False
-    return _chordless_search(g)
+    return _chordless_search(g, comp)
 
 
 def _odd_part(g: Graph, mask: int) -> int:
@@ -97,16 +109,17 @@ def _odd_part(g: Graph, mask: int) -> int:
     return out
 
 
-def _blocks(g: Graph) -> Iterator[int]:
-    """Vertex masks of the biconnected blocks that have an edge, by one
-    iterative depth-first search (Hopcroft-Tarjan 1973).  A vertex's
-    `low` is the least discovery time reachable from its subtree by one
-    back edge; a child v with low[v] >= disc[p] closes a block at p."""
+def _blocks(g: Graph, mask: int) -> Iterator[int]:
+    """Vertex masks of the biconnected blocks that have an edge, within
+    `mask`, a union of components, by one iterative depth-first search
+    (Hopcroft-Tarjan 1973).  A vertex's `low` is the least discovery time
+    reachable from its subtree by one back edge; a child v with
+    low[v] >= disc[p] closes a block at p."""
     adj = g.adj_bits
     disc = [0] * (g.n + 1)
     low = [0] * (g.n + 1)
     t = 0
-    for root in g.vertices:
+    for root in labels_of(mask):
         if disc[root]:
             continue
         t += 1
@@ -144,9 +157,10 @@ def _blocks(g: Graph) -> Iterator[int]:
                 yield block
 
 
-def _chordless_search(g: Graph) -> bool:
+def _chordless_search(g: Graph, comp: int) -> bool:
     """Stage 3: is there no chordless odd cycle C with least vertex s such
-    that g[{v > s} - N[C]] has an odd cycle?"""
+    that g[{v > s} - N[C]] has an odd cycle?  Every odd cycle of g must lie
+    in the component `comp`, so the search stays inside it."""
     adj = g.adj_bits
     # in_block[s]: the union of the non-bipartite blocks that hold s.  It
     # is built at the first start that survives the cheaper tests, which on
@@ -159,8 +173,8 @@ def _chordless_search(g: Graph) -> bool:
         return _odd_part(g, live & ~gone) if live & gone else live
 
     steps = 0
-    for s in g.vertices:
-        above = g.full_mask & ~((2 << s) - 1)
+    for s in labels_of(comp):
+        above = comp & ~((2 << s) - 1)
         if in_block is not None and not in_block[s] & above:
             continue
         if mask_is_bipartite(g, above):
@@ -171,7 +185,7 @@ def _chordless_search(g: Graph) -> bool:
             continue
         if in_block is None:
             in_block = [0] * (g.n + 1)
-            for block in _blocks(g):
+            for block in _blocks(g, comp):
                 if not mask_is_bipartite(g, block):
                     rest = block
                     while rest:

@@ -5,7 +5,9 @@ characterization: they rerun the blossom matching on every single-vertex
 deletion instead of reading D(G) off one maximum matching, so they share
 only the blossom matching with the library.  The odd cycle condition
 reference lists every chordless odd cycle and scans all pairs, where the
-library streams the cycles and tests each one's far side for an odd cycle.
+library decides it in three stages: a bipartite graph passes, one short
+odd walk may refute, and a budgeted search of induced paths inside the one
+non-bipartite component settles the rest.
 The lattice-point reference tests every composition of 2q against the
 membership test, where the library prunes a depth-first search on partial
 sums.

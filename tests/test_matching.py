@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +99,22 @@ def test_factor_critical():
     for g in (cycle(4), path(3), path(5), complete(4), Graph.from_edges(0, [])):
         assert not is_factor_critical(g)
     assert not is_factor_critical(Graph.from_edges(3, [(1, 2)]))
+
+
+def test_long_path_and_cycle_match_in_linear_time():
+    # A blossom search must cost its own tree, not O(n): at this size a
+    # search that touches every vertex takes seconds of CPU.  The path
+    # needs no search at all; the cycle's one failed search (twice, once
+    # for the matching and once for D) contracts a blossom spanning it.
+    p, c = path(20_000), cycle(20_001)
+    start = time.process_time()
+    assert max_matching(p).size == 10_000
+    assert time.process_time() - start < 2.0
+    start = time.process_time()
+    ge = gallai_edmonds(c)
+    assert time.process_time() - start < 2.0
+    assert ge.matching.size == 10_000
+    assert ge.d_set == tuple(c.vertices)
 
 
 def test_konig_property():

@@ -226,6 +226,62 @@ def test_odd_cycle_condition_on_permuted_structured_graphs(build, verdicts):
     assert seen == verdicts
 
 
+def _bipartite_parts(rng: random.Random, count: int) -> tuple[int, list]:
+    # Disjoint random trees and even cycles on 1..n.
+    edges: list = []
+    n = 0
+    for _ in range(count):
+        if rng.random() < 0.5:
+            k = rng.randint(1, 6)
+            edges += [(n + v, n + rng.randint(1, v - 1)) for v in range(2, k + 1)]
+        else:
+            k = 2 * rng.randint(2, 4)
+            edges += [(n + v, n + v % k + 1) for v in range(1, k + 1)]
+        n += k
+    return n, edges
+
+
+@pytest.mark.parametrize(
+    "odd_parts, verdicts", [(1, {True, False}), (2, {False})], ids=["one", "two"]
+)
+def test_odd_cycle_condition_with_bipartite_components_around(odd_parts, verdicts):
+    # The exact search runs inside the one non-bipartite component.  The
+    # bipartite components take labels below, between and above its labels,
+    # so they sit among its starts and inside every `above` mask.
+    builders = (
+        _cycles_at_cut_vertices,
+        partial(_linked_cycles, length=1),
+        partial(_linked_cycles, length=2),
+    )
+    rng = random.Random(1010)
+    seen = set()
+    for _ in range(60):
+        edges: list = []
+        k = 0
+        for _ in range(odd_parts):
+            n_odd, odd_edges = rng.choice(builders)(rng)
+            edges += [(u + k, v + k) for u, v in odd_edges]
+            k += n_odd
+        b, bip_edges = _bipartite_parts(rng, rng.randint(3, 4))
+        n = k + b
+        while True:
+            odd_labels = rng.sample(range(2, n), k)
+            if max(odd_labels) - min(odd_labels) >= k:
+                break
+        taken = set(odd_labels)
+        bip_labels = [v for v in range(1, n + 1) if v not in taken]
+        assert bip_labels[0] < min(odd_labels) and bip_labels[-1] > max(odd_labels)
+        assert any(min(odd_labels) < v < max(odd_labels) for v in bip_labels)
+        rng.shuffle(bip_labels)
+        label = [0] + odd_labels + bip_labels
+        edges += [(u + k, v + k) for u, v in bip_edges]
+        g = Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+        occ = satisfies_odd_cycle_condition(g)
+        assert occ == satisfies_odd_cycle_condition_pairwise(g), g
+        seen.add(occ)
+    assert seen == verdicts
+
+
 def test_nonbipartite_blocks_match_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(9)
@@ -237,11 +293,12 @@ def test_nonbipartite_blocks_match_networkx():
         ref.add_nodes_from(g.vertices)
         ref.add_edges_from(g.edges)
         blocks = [mask_of(b) for b in nx.biconnected_components(ref)]
-        assert sorted(rees._blocks(g)) == sorted(blocks), g
+        assert sorted(rees._blocks(g, g.full_mask)) == sorted(blocks), g
         odd = sorted(
             b for b in blocks if not nx.is_bipartite(ref.subgraph(labels_of(b)))
         )
-        assert sorted(b for b in rees._blocks(g) if not mask_is_bipartite(g, b)) == odd
+        odd_lib = (b for b in rees._blocks(g, g.full_mask) if not mask_is_bipartite(g, b))
+        assert sorted(odd_lib) == odd
         odd_blocks += len(odd)
     assert odd_blocks > 0
 
