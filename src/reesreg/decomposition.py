@@ -20,8 +20,8 @@ from .graphs import (
     Graph,
     VertexSet,
     _bfs,
+    _independent_of_size,
     components_within,
-    independent_sets,
     labels_of,
     mask_of,
     neighbor_mask,
@@ -104,17 +104,23 @@ def is_tutte_berge(g: Graph) -> bool:
 
 def tutte_berge_bruteforce(g: Graph) -> TutteBergeWitness | None:
     """First independent set (smallest, then lexicographic) attaining the
-    deficiency equation, or None.  Enumerates every independent set, so
-    guarded to n <= 20."""
+    deficiency equation, or None.  Enumerates independent sets, so guarded
+    to n <= 20."""
     if g.n > INDEPENDENT_ENUM_LIMIT:
         raise InstanceTooLargeError(
             f"n = {g.n} exceeds the independent-set enumeration limit"
         )
+    # |N(T)| >= 0 rules out every T smaller than the deficiency, and a size
+    # with no independent set has no larger one either.
     defect = deficiency(g)
-    for t in independent_sets(g):
-        nb = neighbor_mask(g, mask_of(t))
-        if len(t) == nb.bit_count() + defect:
-            return TutteBergeWitness(t_set=t, deficiency=defect)
+    for k in range(defect, g.n + 1):
+        found = False
+        for t, nb in _independent_of_size(g, k):
+            if k == nb.bit_count() + defect:
+                return TutteBergeWitness(t_set=labels_of(t), deficiency=defect)
+            found = True
+        if not found:
+            return None
     return None
 
 

@@ -426,27 +426,26 @@ def neighbor_mask(g: Graph, mask: int) -> int:
     return out
 
 
-def _independent_of_size(g: Graph, k: int) -> Iterator[VertexSet]:
-    """All independent k-subsets, lexicographic by member list."""
+def _independent_of_size(g: Graph, k: int) -> Iterator[tuple[int, int]]:
+    """All independent k-subsets T as (T, N(T)) mask pairs, lexicographic
+    by member list.  N(T) is also the set of vertices T rules out, so it
+    is built up along the way, one union per member."""
     n = g.n
     adj = g.adj_bits
     if k == 0:
-        yield ()
+        yield 0, 0
         return
 
-    def rec(start: int, chosen: list[int], forbidden: int) -> Iterator[VertexSet]:
-        need = k - len(chosen)
+    def rec(start: int, chosen: int, nb: int, need: int) -> Iterator[tuple[int, int]]:
         for v in range(start, n - need + 2):
-            if forbidden >> v & 1:
+            if nb >> v & 1:
                 continue
-            chosen.append(v)
             if need == 1:
-                yield tuple(chosen)
+                yield chosen | 1 << v, nb | adj[v]
             else:
-                yield from rec(v + 1, chosen, forbidden | adj[v])
-            chosen.pop()
+                yield from rec(v + 1, chosen | 1 << v, nb | adj[v], need - 1)
 
-    yield from rec(1, [], 0)
+    yield from rec(1, 0, 0, k)
 
 
 def independent_sets(g: Graph) -> Iterator[VertexSet]:
@@ -455,16 +454,16 @@ def independent_sets(g: Graph) -> Iterator[VertexSet]:
     Includes the empty set.  Intended for n up to about 20.
     """
     for k in range(g.n + 1):
-        yield from _independent_of_size(g, k)
+        for t, _ in _independent_of_size(g, k):
+            yield labels_of(t)
 
 
 def max_independent_set(g: Graph) -> VertexSet:
     """A maximum independent set; ties break to the lexicographically
     smallest member list.  Brute force, so desk scale only."""
     for k in range(g.n, 0, -1):
-        first = next(_independent_of_size(g, k), None)
-        if first is not None:
-            return first
+        for t, _ in _independent_of_size(g, k):
+            return labels_of(t)
     return ()
 
 

@@ -19,14 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InstanceTooLargeError, InternalInvariantError, NoOddCycleError
 from .graphs import (
     Graph,
     VertexSet,
     _bfs,
-    independent_sets,
+    _independent_of_size,
     is_bipartite,
     labels_of,
     mask_of,
@@ -82,22 +82,32 @@ def is_fundamental_independent_set(h: Graph, t: VertexSet) -> bool:
     if not t:
         return False
     t_mask = mask_of(t)
-    n_mask = 0
-    for v in t:
-        if h.adj_bits[v] & t_mask:
-            return False
-        n_mask |= h.adj_bits[v]
-    if not _b_graph_connected(h, t_mask):
-        return False
-    return _all_components_odd(h, h.full_mask & ~t_mask & ~n_mask)
+    n_mask = neighbor_mask(h, t_mask)
+    return not n_mask & t_mask and _is_fundamental(h, t_mask, n_mask)
+
+
+def _is_fundamental(h: Graph, t_mask: int, n_mask: int) -> bool:
+    # The test above for a nonempty independent T with N(T) = n_mask.
+    return _b_graph_connected(h, t_mask) and _all_components_odd(
+        h, h.full_mask & ~t_mask & ~n_mask
+    )
+
+
+def _fundamental_masks(h: Graph) -> list[int]:
+    # The fundamental independent sets of h as masks, in independent-set
+    # stream order (smallest first, lexicographic within a size).
+    return [
+        t
+        for k in range(1, h.n + 1)
+        for t, nb in _independent_of_size(h, k)
+        if _is_fundamental(h, t, nb)
+    ]
 
 
 def fundamental_independent_sets(h: Graph) -> tuple[VertexSet, ...]:
     """All fundamental independent sets, in independent-set stream order
     (smallest first, lexicographic within a size)."""
-    return tuple(
-        t for t in independent_sets(h) if t and is_fundamental_independent_set(h, t)
-    )
+    return tuple(labels_of(t) for t in _fundamental_masks(h))
 
 
 @dataclass(frozen=True)
@@ -131,53 +141,79 @@ def halfspace_system(h: Graph) -> HalfSpaceSystem:
     if is_bipartite(h):
         raise NoOddCycleError("half-space description needs an odd cycle")
     coords = tuple(v for v in h.vertices if is_regular_vertex(h, v))
-    return _checked_system(h, coords, fundamental_independent_sets(h))
+    return _checked_system(h.n, h.adj_bits, coords, _fundamental_masks(h))
+
+
+def _strict_somewhere(adj: Sequence[int], t: int, nb: int) -> bool:
+    # Does some edge have more ends in nb than in t, so that sum_t x <=
+    # sum_nb x is strict at its polytope vertex e_u + e_v?  Exactly when an
+    # end u lies in nb - t and the other end is in nb or outside t.
+    outside = ~(t & ~nb)
+    m = nb & ~t
+    while m:
+        low = m & -m
+        if adj[low.bit_length() - 1] & outside:
+            return True
+        m ^= low
+    return False
 
 
 def _checked_system(
-    h: Graph, coords: tuple[int, ...], fundamental: tuple[VertexSet, ...]
+    n: int, adj: Sequence[int], coords: tuple[int, ...], masks: Sequence[int]
 ) -> HalfSpaceSystem:
-    # The system of h from its regular vertices and fundamental sets, after
-    # the implicit-equality guard.
-    sets = tuple((t, labels_of(neighbor_mask(h, mask_of(t)))) for t in fundamental)
+    # The system of the graph on 1..n with adjacency masks `adj`, from its
+    # regular vertices and its fundamental sets (masks), after the
+    # implicit-equality guard.  The sets are listed smallest first, then
+    # lexicographically, and checked in that order.
     for i in coords:
-        if h.degree(i) == 0:
+        if not adj[i]:
             raise InternalInvariantError(
                 f"x_{i} >= 0 is an implicit equality (isolated regular vertex)"
             )
-    for t, nb in sets:
-        t_set = set(t)
-        n_set = set(nb)
-        if not any(
-            len(t_set & {u, v}) < len(n_set & {u, v}) for u, v in h.edges
-        ):
+    sets = []
+    for _, labels, t in sorted((t.bit_count(), labels_of(t), t) for t in masks):
+        nb = 0
+        for v in labels:
+            nb |= adj[v]
+        if not _strict_somewhere(adj, t, nb):
             raise InternalInvariantError(
-                f"set constraint for T = {t} is an implicit equality"
+                f"set constraint for T = {labels} is an implicit equality"
             )
+        sets.append((labels, labels_of(nb)))
     return HalfSpaceSystem(
-        ambient_n=h.n, coord_constraints=coords, set_constraints=sets
+        ambient_n=n, coord_constraints=coords, set_constraints=tuple(sets)
     )
 
 
-def _cone_options(g: Graph, comp: int) -> list[int]:
+def _cone_options(g: Graph, comp: int, bipartite: bool) -> list[int]:
     # The independent subsets I of one component of g (masks, the empty set
     # included) that leave no bipartite component in comp - N[I].  On a
-    # bipartite component these are its maximal independent sets.
+    # bipartite component these are its maximal independent sets, the I
+    # with N[I] = comp.
+    #
+    # The walk decides the vertices in order and leaves a vertex outside
+    # N[I] out of I only while that can still pay off.  Only a later
+    # neighbor outside N[I] can still dominate it, and on a bipartite
+    # component one must.  On any component, it needs some neighbor
+    # outside N[I], or it ends as an isolated vertex of comp - N[I].
     adj = g.adj_bits
-    verts = labels_of(comp)
     options = []
 
-    def rec(k: int, chosen: int, closed: int) -> None:
-        if k == len(verts):
-            if _all_components_odd(g, comp & ~closed):
+    def rec(todo: int, chosen: int, closed: int) -> None:
+        # `todo`: the vertices still to decide, all above the decided ones
+        # and outside N[chosen] = closed.
+        if not todo:
+            if closed == comp if bipartite else _all_components_odd(g, comp & ~closed):
                 options.append(chosen)
             return
-        v = verts[k]
-        rec(k + 1, chosen, closed)
-        if not closed >> v & 1:
-            rec(k + 1, chosen | 1 << v, closed | 1 << v | adj[v])
+        bit = todo & -todo
+        todo ^= bit
+        nb = adj[bit.bit_length() - 1]
+        if nb & (todo if bipartite else ~closed):
+            rec(todo, chosen, closed)
+        rec(todo & ~nb, chosen | bit, closed | bit | nb)
 
-    rec(0, 0, 0)
+    rec(comp, 0, 0)
     return options
 
 
@@ -193,21 +229,18 @@ def _cone_system(g: Graph) -> HalfSpaceSystem:
     # regular when no component of g is bipartite.
     if not g.m:
         raise NoOddCycleError("half-space description needs an odd cycle")
-    h = cone_graph(g)
-    apex = h.n
+    apex = g.n + 1
+    apex_bit = 1 << apex
+    adj = [0] + [a | apex_bit for a in g.adj_bits[1:]] + [g.full_mask]
     components = list(_bfs(g, g.full_mask))
     coords = tuple(v for v in g.vertices if g.m > g.degree(v))
     if not any(bipartite for _, _, bipartite in components):
         coords += (apex,)
     # One option per component; their masks are disjoint, so the sum of a
     # choice is its union.
-    fundamental = [(apex,)] + [
-        labels_of(sum(choice))
-        for choice in product(*(_cone_options(g, comp) for comp, _, _ in components))
-        if any(choice)
-    ]
-    fundamental.sort(key=lambda t: (len(t), t))
-    return _checked_system(h, coords, tuple(fundamental))
+    options = [_cone_options(g, comp, bipartite) for comp, _, bipartite in components]
+    fundamental = [apex_bit] + [sum(choice) for choice in product(*options) if any(choice)]
+    return _checked_system(apex, adj, coords, fundamental)
 
 
 def point_membership(
@@ -277,36 +310,29 @@ class _SearchIndex(NamedTuple):
 
 def _index_constraints(system: HalfSpaceSystem) -> _SearchIndex:
     n = system.ambient_n
-    listed = [False] * n
-    for v in system.coord_constraints:
-        listed[v - 1] = True
-    pairs = [
-        (tuple(v - 1 for v in t), tuple(v - 1 for v in nb))
-        for t, nb in system.set_constraints
-    ]
+    listed = mask_of(system.coord_constraints)
     lists: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(6)]
     plus, minus, floor_at, spend, spend2, cap = lists
+    balance = []
     last_n = []
-    for c, (t_idx, n_idx) in enumerate(pairs):
-        last = max(n_idx, default=-1)
-        last_n.append(last)
-        for i in n_idx:
-            plus[i].append(c)
-        if n_idx:
-            floor_at[last].append(c)
-        for i in t_idx:
-            minus[i].append(c)
-            (spend2 if i < last else cap)[i].append(c)
-        touched = set(t_idx) | set(n_idx)
-        for i in range(last):
-            if i not in touched:
-                spend[i].append(c)
+    for c, (t, nb) in enumerate(system.set_constraints):
+        t_mask = mask_of(t)
+        n_mask = mask_of(nb)
+        balance.append((n_mask & listed).bit_count() - (t_mask & listed).bit_count())
+        last = nb[-1] if nb else 0
+        last_n.append(last - 1)
+        for v in nb:
+            plus[v - 1].append(c)
+        if nb:
+            floor_at[last - 1].append(c)
+        for v in t:
+            minus[v - 1].append(c)
+            (spend2 if v < last else cap)[v - 1].append(c)
+        for v in labels_of((1 << last) - 1 & ~t_mask & ~n_mask):
+            spend[v - 1].append(c)
     return _SearchIndex(
-        tuple(listed),
-        tuple(
-            sum(listed[i] for i in n_idx) - sum(listed[i] for i in t_idx)
-            for t_idx, n_idx in pairs
-        ),
+        tuple(bool(listed >> v & 1) for v in range(1, n + 1)),
+        tuple(balance),
         tuple(last_n),
         *(tuple(map(tuple, per_i)) for per_i in lists),
     )
@@ -415,6 +441,11 @@ def compute_q0(g: Graph) -> OracleResult:
         raise ValueError("oracle needs a graph with at least two edges")
     if not is_rees_normal(g):
         raise ValueError("oracle needs a normal Rees algebra")
+    return _q0(g)
+
+
+def _q0(g: Graph) -> OracleResult:
+    # compute_q0 for a g known to have two edges and a normal Rees algebra.
     system = _enumerable_cone_system(g, 1)
     bound = g.n + 1 - matching_number(g)
     for q in range(1, bound + 1):

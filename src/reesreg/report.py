@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from .decomposition import _witness, gallai_edmonds
 from .graphs import Graph, VertexSet, is_bipartite
 from .matching import _first_max_independent
-from .polytope import OracleResult, compute_q0
+from .polytope import OracleResult, _q0
 from .rees import (
     RegularityResult,
     RegularityStatus,
@@ -134,7 +134,8 @@ def run_oracle(g: Graph, reg: RegularityResult) -> tuple[OracleResult | None, st
         return None, "oracle skipped: graph has fewer than two edges"
     if reg.status is RegularityStatus.NOT_NORMAL:
         return None, "oracle skipped: Rees algebra is not normal"
-    return compute_q0(g), None
+    # A computed closed form has already found two edges and normality.
+    return _q0(g), None
 
 
 def build_report(

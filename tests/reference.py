@@ -10,10 +10,15 @@ odd walk may refute, and a budgeted search of induced paths inside the one
 non-bipartite component settles the rest.
 The lattice-point reference tests every composition of 2q against the
 membership test, where the library prunes a depth-first search on partial
-sums.
+sums.  The Tutte-Berge witness reference tests every vertex subset from
+`itertools.combinations`, where the library walks independent sets on
+bitmasks from the deficiency up; the implicit-equality reference scans
+every edge, where the library reads the answer off neighborhood masks.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from reesreg import (
     GallaiEdmonds,
@@ -25,6 +30,7 @@ from reesreg import (
     point_membership,
 )
 from reesreg.graphs import (
+    VertexSet,
     components_within,
     iter_chordless_odd_cycles,
     labels_of,
@@ -124,3 +130,26 @@ def lattice_points_by_composition(
 
     rec(0, UNIT_COORDINATE_SUM * q, [])
     return tuple(points)
+
+
+def tutte_berge_witness_by_subsets(g: Graph) -> VertexSet | None:
+    """The first independent T, smallest first and then lexicographic, with
+    |T| = |N(T)| + |V| - 2 mat(G), or None: every subset of each size, in
+    `itertools.combinations` order, with N(T) read from `g.neighbors`."""
+    defect = g.n - 2 * matching_number(g)
+    for k in range(g.n + 1):
+        for t in itertools.combinations(g.vertices, k):
+            if any(g.has_edge(u, v) for u, v in itertools.combinations(t, 2)):
+                continue
+            if k == len(set().union(*map(g.neighbors, t))) + defect:
+                return t
+    return None
+
+
+def strict_at_some_edge(g: Graph, t: VertexSet, nb: VertexSet) -> bool:
+    """Does some edge of g have more ends in nb than in t, so that
+    sum_t x <= sum_nb x is not an implicit equality?  One set intersection
+    per edge and side."""
+    t_set = set(t)
+    n_set = set(nb)
+    return any(len(t_set & {u, v}) < len(n_set & {u, v}) for u, v in g.edges)

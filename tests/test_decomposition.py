@@ -30,7 +30,11 @@ from reesreg import (
 )
 from reesreg.corpus import all_graphs, exhaustive_graphs
 from reesreg.graphs import is_bipartite
-from reference import gallai_edmonds_by_deletion, is_factor_critical_by_deletion
+from reference import (
+    gallai_edmonds_by_deletion,
+    is_factor_critical_by_deletion,
+    tutte_berge_witness_by_subsets,
+)
 
 
 def test_example_graph_decomposition():
@@ -107,6 +111,33 @@ def test_witness_agrees_with_bruteforce_exhaustively():
             assert w.deficiency == deficiency(g)
             assert all(not g.has_edge(u, v) for i, u in enumerate(t) for v in t[i + 1 :])
             assert len(t) == len(neighbor_set(g, t)) + w.deficiency
+
+
+def _bruteforce_t_set(g: Graph):
+    w = tutte_berge_bruteforce(g)
+    if w is None:
+        return None
+    assert w.deficiency == deficiency(g)
+    return w.t_set
+
+
+def test_bruteforce_matches_subset_reference_exhaustively():
+    for g in exhaustive_graphs(6):
+        assert _bruteforce_t_set(g) == tutte_berge_witness_by_subsets(g), g
+
+
+def test_bruteforce_matches_subset_reference_sparse_seeded():
+    # Sparse G(n, c/n) up to n = 14 leaves many vertices unmatched, so the
+    # search starts at deficiencies well above 1.
+    rng = random.Random(1411)
+    seen = set()
+    for _ in range(120):
+        n = rng.randint(7, 14)
+        g = random_graph(n, rng.uniform(0.5, 3.0) / n, seed=rng.randrange(1 << 30))
+        t_set = _bruteforce_t_set(g)
+        assert t_set == tutte_berge_witness_by_subsets(g), g
+        seen.add((min(deficiency(g), 2), t_set is None))
+    assert {(2, False), (2, True)} <= seen
 
 
 def test_witness_for_disjoint_union():

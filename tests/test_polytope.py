@@ -26,17 +26,19 @@ from reesreg import (
     is_tutte_berge,
     lattice_points,
     matching_number,
+    neighbor_set,
     paper_example,
     path,
     point_membership,
+    random_graph,
     reduction_move,
     regularity,
     verify_normality_small,
 )
-from reference import lattice_points_by_composition
+from reference import lattice_points_by_composition, strict_at_some_edge
 from reesreg.corpus import all_graphs, exhaustive_graphs, random_graphs
-from reesreg.graphs import components_within, mask_is_bipartite
-from reesreg.polytope import UNIT_COORDINATE_SUM, _cone_system
+from reesreg.graphs import components_within, mask_is_bipartite, mask_of
+from reesreg.polytope import UNIT_COORDINATE_SUM, _cone_system, _strict_somewhere
 from reesreg.rees import RegularityStatus
 
 
@@ -146,6 +148,26 @@ def test_implicit_equality_guard_fires():
         halfspace_system(g)
 
 
+def test_implicit_equality_guard_matches_edge_scan():
+    # The guard's mask test against the edge scan, on (T, N) pairs that
+    # need not come from a system: T may have an edge inside, and T and N
+    # may meet.
+    rng = random.Random(77)
+    kinds = set()
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        g = random_graph(n, rng.random(), seed=rng.randrange(1 << 30))
+        t = tuple(v for v in g.vertices if rng.random() < 0.4)
+        if rng.random() < 0.5:
+            nb = neighbor_set(g, t)
+        else:
+            nb = tuple(v for v in g.vertices if rng.random() < 0.5)
+        strict = strict_at_some_edge(g, t, nb)
+        assert _strict_somewhere(g.adj_bits, mask_of(t), mask_of(nb)) == strict, (g, t, nb)
+        kinds.add((bool(set(t) & set(nb)), strict))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_edge_points_contained_at_unit_dilation():
     for g in exhaustive_graphs(4):
         if g.m == 0:
@@ -202,6 +224,20 @@ def test_cone_system_matches_general_build_small():
                 _cone_system(g)
             continue
         assert _cone_system(g) == halfspace_system(cone_graph(g)), g
+
+
+def test_cone_system_matches_general_build_sparse_seeded():
+    # Sparse G(n, c/n) past the exhaustive range, a third of them at
+    # c = 2.3, where most graphs are normal and q0 is near n.  The general
+    # build tests every independent set of the cone graph, where the cone
+    # build walks options per component of g.
+    rng = random.Random(5)
+    for i in range(900):
+        n = rng.randint(7, 12)
+        c = 2.3 if i % 3 == 0 else rng.uniform(1.0, 4.0)
+        g = random_graph(n, c / n, seed=rng.randrange(1 << 30))
+        if g.m:
+            assert _cone_system(g) == halfspace_system(cone_graph(g)), g
 
 
 def test_interior_frozen_for_cone_of_triangle():

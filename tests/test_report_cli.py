@@ -26,6 +26,7 @@ from reesreg import (
 from reesreg.cli import main
 from reesreg.corpus import EXHAUSTIVE_N_LIMIT, check_graph, corpus_run
 from reesreg.matching import max_matching
+from reesreg.rees import satisfies_odd_cycle_condition
 
 
 def test_report_example_frozen_values():
@@ -241,6 +242,30 @@ def test_report_runs_the_blossom_once(monkeypatch):
         r = build_report(g, with_witness=True)
         assert len(calls) == 1, g
         assert r.tutte_berge == (r.tb_witness is not None)
+
+
+def test_oracle_report_runs_the_odd_cycle_condition_once(tmp_path, monkeypatch, capsys):
+    # The closed form's status already says the Rees algebra is normal, so
+    # the oracle does not test the odd cycle condition again.
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return satisfies_odd_cycle_condition(g)
+
+    _patch_every_binding(
+        monkeypatch, "reesreg.rees", "satisfies_odd_cycle_condition", counted
+    )
+    for g in (paper_example(), cycle(5), random_graph(9, 0.4, 2)):
+        calls.clear()
+        r = build_report(g, with_oracle=True)
+        assert len(calls) == 1, g
+        assert r.oracle is not None and r.oracle.reg == r.regularity.reg
+    target = _write(tmp_path, "ex.txt", paper_example())
+    calls.clear()
+    assert main(["regularity", target, "--oracle"]) == 0
+    assert len(calls) == 1
+    assert "agreement    True" in capsys.readouterr().out
 
 
 def test_cli_ged_json(tmp_path, capsys):
