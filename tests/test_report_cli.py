@@ -213,7 +213,7 @@ def test_cli_classify_runs_no_independent_set_search(tmp_path, monkeypatch, caps
     def no_subgraph(g, labels):
         raise AssertionError("classify must not build induced subgraphs")
 
-    monkeypatch.setattr("reesreg.graphs._independent_of_size", no_search)
+    _patch_every_binding(monkeypatch, "reesreg.graphs", "_independent_of_size", no_search)
     _patch_every_binding(monkeypatch, "reesreg.graphs", "induced_subgraph", no_subgraph)
     ex = _write(tmp_path, "ex_c4.txt", disjoint_union(paper_example(), cycle(4)))
     assert main(["classify", ex, "--json", "--witness"]) == 0
