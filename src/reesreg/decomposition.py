@@ -3,7 +3,13 @@
 D(G) is the set of vertices missed by at least one maximum matching: the
 outer vertices of the failed alternating searches from the exposed vertices
 of one maximum matching (Edmonds 1965; Lovasz-Plummer, Matching Theory,
-ch. 3).  A(G) collects the outside neighbors of D; C(G) is everything else.
+ch. 3).  The blossom run that finds the matching has run those searches
+already: no later augmenting path enters a failed search's tree, so the
+tree and its exposed root survive to the final matching, and D is the
+union of the outer sets its failed searches return.  A(G) collects the
+outside neighbors of D; C(G) is everything else.  A vertex of D with no
+neighbor in D is a component of D by itself, and only the rest of D is
+searched for its components.
 
 A graph is called Tutte-Berge when some independent set T attains
 |T| = |N(T)| + |V| - 2 mat(G), the maximum possible value.  That holds
@@ -20,19 +26,13 @@ from .graphs import (
     Graph,
     VertexSet,
     _bfs,
-    _independent_of_size,
+    _independent_from,
     components_within,
     labels_of,
     mask_of,
     neighbor_mask,
 )
-from .matching import (
-    Matching,
-    _d_mask,
-    _first_max_independent,
-    matching_number,
-    max_matching,
-)
+from .matching import Matching, _first_max_independent, _matching, matching_number
 
 INDEPENDENT_ENUM_LIMIT = 20
 
@@ -77,17 +77,28 @@ def deficiency(g: Graph) -> int:
 
 
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:
-    """D/A/C from one maximum matching and one search per exposed vertex."""
-    matching = max_matching(g)
-    d_mask = _d_mask(g, matching)
+    """D/A/C from the failed searches of one blossom run."""
+    matching, d_mask = _matching(g)
     a_mask = neighbor_mask(g, d_mask) & ~d_mask
     c_mask = g.full_mask & ~d_mask & ~a_mask
-    comps = tuple(labels_of(m) for m in components_within(g, d_mask))
+    # A vertex of D with no neighbor in D is a component by itself; only
+    # the rest of D needs a search.  Both lists are ordered by smallest
+    # member and disjoint, so sorting the two runs merges them.
+    adj = g.adj_bits
+    d_set = labels_of(d_mask)
+    lone = []
+    joined = 0
+    for v in d_set:
+        if adj[v] & d_mask:
+            joined |= 1 << v
+        else:
+            lone.append((v,))
+    comps = lone + [labels_of(m) for m in components_within(g, joined)]
     return GallaiEdmonds(
-        d_set=labels_of(d_mask),
+        d_set=d_set,
         a_set=labels_of(a_mask),
         c_set=labels_of(c_mask),
-        d_components=comps,
+        d_components=tuple(sorted(comps)),
         matching=matching,
     )
 
@@ -110,17 +121,11 @@ def tutte_berge_bruteforce(g: Graph) -> TutteBergeWitness | None:
         raise InstanceTooLargeError(
             f"n = {g.n} exceeds the independent-set enumeration limit"
         )
-    # |N(T)| >= 0 rules out every T smaller than the deficiency, and a size
-    # with no independent set has no larger one either.
+    # |N(T)| >= 0 rules out every T smaller than the deficiency.
     defect = deficiency(g)
-    for k in range(defect, g.n + 1):
-        found = False
-        for t, nb in _independent_of_size(g, k):
-            if k == nb.bit_count() + defect:
-                return TutteBergeWitness(t_set=labels_of(t), deficiency=defect)
-            found = True
-        if not found:
-            return None
+    for t, nb in _independent_from(g, defect):
+        if t.bit_count() == nb.bit_count() + defect:
+            return TutteBergeWitness(t_set=labels_of(t), deficiency=defect)
     return None
 
 

@@ -448,14 +448,27 @@ def _independent_of_size(g: Graph, k: int) -> Iterator[tuple[int, int]]:
     yield from rec(1, 0, 0, k)
 
 
+def _independent_from(g: Graph, k: int) -> Iterator[tuple[int, int]]:
+    """The (T, N(T)) pairs of `_independent_of_size` for sizes k, k + 1, ...
+    up to the first size with no independent set: every larger one holds
+    an independent set of that size."""
+    while True:
+        found = False
+        for pair in _independent_of_size(g, k):
+            found = True
+            yield pair
+        if not found:
+            return
+        k += 1
+
+
 def independent_sets(g: Graph) -> Iterator[VertexSet]:
     """All independent sets, smallest first, lexicographic within a size.
 
     Includes the empty set.  Intended for n up to about 20.
     """
-    for k in range(g.n + 1):
-        for t, _ in _independent_of_size(g, k):
-            yield labels_of(t)
+    for t, _ in _independent_from(g, 0):
+        yield labels_of(t)
 
 
 def max_independent_set(g: Graph) -> VertexSet:

@@ -6,6 +6,10 @@ scanned in ascending label order, so the returned matching itself is
 deterministic, not just its size.  A search costs its own tree, not the
 graph: the `parent` and `base` arrays are allocated once per call and
 shared by its searches, each of which resets only the entries of its tree.
+The same run yields D(G), the vertices missed by some maximum matching: a
+search that fails is never touched again, because no later augmenting path
+enters its tree (Edmonds 1965), so its tree and root are those of the final
+matching, and D(G) is the union of the failed searches' outer sets.
 `matching_number_bruteforce` is the independent oracle: plain branch and
 bound over the edge list.  The Konig test and the first maximum independent
 set of a Konig graph are one 2-SAT walk on one maximum matching.
@@ -39,11 +43,19 @@ class Matching:
 
 def max_matching(g: Graph) -> Matching:
     """A maximum matching of g, deterministic for a fixed graph."""
+    return _matching(g)[0]
+
+
+def _matching(g: Graph) -> tuple[Matching, int]:
+    """A maximum matching of g and the mask of D(G), from one run of the
+    blossom loop: the union of its failed searches' outer masks (see the
+    module docstring).  An isolated root's mask is its own bit."""
     n = g.n
     adj = g.adj_bits
     mate = [0] * (n + 1)
     parent = [0] * (n + 1)
     base = list(range(n + 1))
+    d = 0
     for root in range(1, n + 1):
         if mate[root]:
             continue
@@ -56,31 +68,16 @@ def max_matching(g: Graph) -> Matching:
             near = (rest & -rest).bit_length() - 1
             mate[root], mate[near] = near, root
         else:
-            _try_augment(g, mate, root, parent, base)
+            # A failed search's mask holds its root, so it is never 0.
+            d |= _try_augment(g, mate, root, parent, base) or 0
     edges = tuple(
         (v, mate[v]) for v in range(1, n + 1) if mate[v] > v
     )
-    return Matching(edges=edges)
+    return Matching(edges=edges), d
 
 
 def matching_number(g: Graph) -> int:
     return max_matching(g).size
-
-
-def _d_mask(g: Graph, matching: Matching) -> int:
-    """Mask of D(G), the vertices missed by some maximum matching: the
-    outer vertices of the failed searches from the exposed vertices of
-    `matching`, which must be maximum (Edmonds 1965)."""
-    mate = [0] * (g.n + 1)
-    for u, v in matching.edges:
-        mate[u], mate[v] = v, u
-    parent = [0] * (g.n + 1)
-    base = list(range(g.n + 1))
-    d = 0
-    for root in g.vertices:
-        if mate[root] == 0:
-            d |= _try_augment(g, mate, root, parent, base)
-    return d
 
 
 def _try_augment(
@@ -216,8 +213,8 @@ def is_factor_critical(g: Graph) -> bool:
     """Does every single-vertex deletion leave a perfect matching?  That is,
     a maximum matching misses one vertex and D(G) = V.  False for even |V|
     (including n = 0); a single vertex counts as factor-critical."""
-    m = max_matching(g)
-    return 2 * m.size == g.n - 1 and _d_mask(g, m) == g.full_mask
+    m, d_mask = _matching(g)
+    return 2 * m.size == g.n - 1 and d_mask == g.full_mask
 
 
 def is_konig(g: Graph) -> bool:

@@ -26,7 +26,7 @@ from .graphs import (
     Graph,
     VertexSet,
     _bfs,
-    _independent_of_size,
+    _independent_from,
     is_bipartite,
     labels_of,
     mask_of,
@@ -96,12 +96,7 @@ def _is_fundamental(h: Graph, t_mask: int, n_mask: int) -> bool:
 def _fundamental_masks(h: Graph) -> list[int]:
     # The fundamental independent sets of h as masks, in independent-set
     # stream order (smallest first, lexicographic within a size).
-    return [
-        t
-        for k in range(1, h.n + 1)
-        for t, nb in _independent_of_size(h, k)
-        if _is_fundamental(h, t, nb)
-    ]
+    return [t for t, nb in _independent_from(h, 1) if _is_fundamental(h, t, nb)]
 
 
 def fundamental_independent_sets(h: Graph) -> tuple[VertexSet, ...]:

@@ -28,6 +28,7 @@ from reesreg import (
     tutte_berge_bruteforce,
     tutte_berge_witness,
 )
+import reesreg.matching
 from reesreg.corpus import all_graphs, exhaustive_graphs
 from reesreg.graphs import is_bipartite
 from reference import (
@@ -252,6 +253,96 @@ def test_decomposition_matches_deletion_reference_seeded():
         g = random_graph(n, rng.uniform(0.05, 0.6), seed=rng.randrange(1 << 30))
         assert gallai_edmonds(g) == gallai_edmonds_by_deletion(g), g
         assert is_factor_critical(g) == is_factor_critical_by_deletion(g), g
+
+
+def _relabel(g: Graph, rng: random.Random) -> Graph:
+    perm = list(g.vertices)
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+
+
+def _hung(k: int, stems: list[tuple[int, int]]) -> Graph:
+    """The cycle 1..k with a path of `length` new vertices hung at `at`,
+    for each (at, length) in `stems`."""
+    edges = [(i, i % k + 1) for i in range(1, k + 1)]
+    n = k
+    for at, length in stems:
+        for _ in range(length):
+            n += 1
+            edges.append((at, n))
+            at = n
+    return Graph.from_edges(n, edges)
+
+
+def test_decomposition_of_blossoms_hung_off_paths_under_relabeling(monkeypatch):
+    # D is read off the failed searches of the one blossom run.  Under these
+    # labels a low root's search often fails (its blossom's base is matched
+    # into a stem) before a higher root augments along a path beside its
+    # tree; that later flip must leave the failed tree and its root alone.
+    outcomes = []
+    search = reesreg.matching._try_augment
+
+    def recorded(g, mate, root, parent, base):
+        used = search(g, mate, root, parent, base)
+        outcomes.append(used is not None)
+        return used
+
+    monkeypatch.setattr(reesreg.matching, "_try_augment", recorded)
+    bowtie = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
+    dumbbell = Graph.from_edges(
+        7, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7)]
+    )
+    shapes = [
+        cycle(5),
+        bowtie,
+        dumbbell,
+        _hung(3, [(1, 1)]),
+        _hung(3, [(1, 2)]),
+        _hung(3, [(1, 3)]),
+        _hung(3, [(1, 2), (2, 2)]),
+        _hung(5, [(1, 1)]),
+        _hung(5, [(1, 2)]),
+        _hung(5, [(1, 1), (3, 2)]),
+        _hung(7, [(2, 2)]),
+    ]
+    rng = random.Random(41)
+    fail_then_augment = 0
+    for shape in shapes:
+        for _ in range(40):
+            g = _relabel(shape, rng)
+            outcomes.clear()
+            ge = gallai_edmonds(g)
+            if False in outcomes and True in outcomes[outcomes.index(False):]:
+                fail_then_augment += 1
+            assert ge == gallai_edmonds_by_deletion(g), g
+            assert is_factor_critical(g) == is_factor_critical_by_deletion(g), g
+    assert fail_then_augment >= 20
+
+
+def test_singleton_d_components_merge_in_label_order():
+    # D's singletons skip the component search and are merged with the
+    # searched components by smallest member.  The labels put the one
+    # non-singleton component of D first, between singletons and last.
+    # Vertex 7 of the first shape is isolated: its search has no tree.
+    paw_star = Graph.from_edges(  # leaves 2, 3 and the triangle 4-5-6 on 1
+        7, [(1, 2), (1, 3), (1, 4), (4, 5), (4, 6), (5, 6)]
+    )
+    star_c5 = Graph.from_edges(  # leaves 2, 3, 4 and the 5-cycle 5..9 on 1
+        9, [(1, 2), (1, 3), (1, 4), (1, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 5)]
+    )
+    rng = random.Random(43)
+    places = set()
+    for shape in (paw_star, star_c5):
+        for _ in range(150):
+            g = _relabel(shape, rng)
+            ge = gallai_edmonds(g)
+            assert ge == gallai_edmonds_by_deletion(g), g
+            assert ge.d_components == tuple(sorted(ge.d_components)), g
+            sizes = [len(c) for c in ge.d_components]
+            assert sorted(sizes)[:-1] == [1] * (len(sizes) - 1) and max(sizes) > 1, g
+            big = sizes.index(max(sizes))
+            places.add("first" if big == 0 else "last" if big == len(sizes) - 1 else "between")
+    assert places == {"first", "between", "last"}
 
 
 def test_networkx_cross_check_large():

@@ -32,8 +32,14 @@ from reesreg import (
     random_graph,
     write_graph,
 )
-from reesreg.corpus import all_graphs, random_graphs
-from reesreg.graphs import components_within, labels_of, mask_is_bipartite, mask_of
+from reesreg.corpus import all_graphs, exhaustive_graphs, random_graphs
+from reesreg.graphs import (
+    _independent_of_size,
+    components_within,
+    labels_of,
+    mask_is_bipartite,
+    mask_of,
+)
 
 
 def test_mask_round_trip():
@@ -363,6 +369,23 @@ def test_independent_sets_order_and_completeness_exhaustive():
                 if all(not g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)):
                     expected.add(combo)
         assert set(seen) == expected
+
+
+def test_independent_sets_stop_at_the_first_empty_size():
+    # The walk ends at the first size with no independent set; it yields
+    # what a walk over every size 0..n yields, in the same order.
+    for g in exhaustive_graphs(6):
+        every_size = [
+            labels_of(t) for k in range(g.n + 1) for t, _ in _independent_of_size(g, k)
+        ]
+        assert list(independent_sets(g)) == every_size, g
+    # path(20) has F(22) = 17,711 independent sets; distinct ones in
+    # (size, lexicographic) order are all of them, in stream order.
+    sets = list(independent_sets(path(20)))
+    assert len(sets) == len(set(sets)) == 17_711
+    assert all(all(b - a > 1 for a, b in zip(s, s[1:])) for s in sets)
+    keys = [(len(s), s) for s in sets]
+    assert keys == sorted(keys)
 
 
 def test_max_independent_set_tiebreak_and_size():

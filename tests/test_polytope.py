@@ -37,7 +37,13 @@ from reesreg import (
 )
 from reference import lattice_points_by_composition, strict_at_some_edge
 from reesreg.corpus import all_graphs, exhaustive_graphs, random_graphs
-from reesreg.graphs import components_within, mask_is_bipartite, mask_of
+from reesreg.graphs import (
+    _independent_of_size,
+    components_within,
+    labels_of,
+    mask_is_bipartite,
+    mask_of,
+)
 from reesreg.polytope import UNIT_COORDINATE_SUM, _cone_system, _strict_somewhere
 from reesreg.rees import RegularityStatus
 
@@ -84,6 +90,19 @@ def test_fundamental_sets_frozen_examples():
     )
     assert not is_fundamental_independent_set(cycle(4), ())
     assert not is_fundamental_independent_set(cycle(4), (1, 2))
+
+
+def test_fundamental_sets_stop_at_the_first_empty_size():
+    # The general build walks independent sets up to the first empty size;
+    # it keeps what a walk over every size 1..n keeps, in the same order.
+    for g in exhaustive_graphs(6):
+        every_size = tuple(
+            t
+            for k in range(1, g.n + 1)
+            for t in (labels_of(m) for m, _ in _independent_of_size(g, k))
+            if is_fundamental_independent_set(g, t)
+        )
+        assert fundamental_independent_sets(g) == every_size, g
 
 
 def test_apex_is_always_fundamental():
