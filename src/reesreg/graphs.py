@@ -45,9 +45,10 @@ def labels_of(mask: int) -> VertexSet:
 class Graph:
     """Simple undirected graph on vertices 1..n.
 
-    `edges` must be canonical: sorted tuple of (u, v) pairs with
-    1 <= u < v <= n and no repeats.  Use `Graph.from_edges` to normalize
-    arbitrary input.
+    The constructor is the one check of a graph's edges: they must be sorted
+    (u, v) pairs with 1 <= u < v <= n and no repeats, else ValueError.  A
+    list is stored as a tuple of tuples.  `Graph.from_edges` orients and
+    sorts arbitrary input.
     """
 
     n: int
@@ -57,13 +58,15 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"vertex count must be >= 0, got {self.n}")
+        if type(self.edges) is not tuple:
+            object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
         bits = [0] * (self.n + 1)
-        prev = None
+        prev = (0, 0)
         for e in self.edges:
             u, v = e
             if not (1 <= u < v <= self.n):
                 raise ValueError(f"edge {e} is not a pair 1 <= u < v <= {self.n}")
-            if prev is not None and e <= prev:
+            if e <= prev:
                 raise ValueError(f"edges not sorted/unique at {e}")
             prev = e
             bits[u] |= 1 << v
@@ -72,20 +75,9 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
-        """Build a graph, normalizing edge order and checking for loops/repeats."""
-        canon = []
-        for e in edges:
-            u, v = e
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            canon.append((u, v))
-        canon.sort()
-        for a, b in zip(canon, canon[1:]):
-            if a == b:
-                raise ValueError(f"duplicate edge {a}")
-        return cls(n=n, edges=tuple(canon))
+        """Build a graph from edges in any order, either endpoint first; the
+        constructor rejects loops, repeats and out-of-range ends."""
+        return cls(n, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges)))
 
     @property
     def m(self) -> int:
@@ -125,7 +117,10 @@ def parse_graph(text: str) -> Graph:
     """Parse the edge-list format.
 
     Lines starting with '#' and blank lines are ignored.  The first data line
-    is "n m"; exactly m edge lines "u v" follow (either endpoint order).
+    is "n m"; exactly m edge lines "u v" follow, in any order, either endpoint
+    first.  One pass reports the first bad line, loop or out-of-range label;
+    a repeat is reported only if every line passes those checks.  The Graph
+    constructor checks the result.
     """
     data = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -148,7 +143,10 @@ def parse_graph(text: str) -> Graph:
     body = data[1:]
     if len(body) != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(body)}")
-    edges = []
+    # An insertion-ordered dict, not a set: a file written in canonical
+    # order then sorts in linear time.
+    edges: dict[tuple[int, int], None] = {}
+    repeat = None
     for lineno, line in body:
         parts = line.split()
         if len(parts) != 2:
@@ -161,15 +159,14 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: loop at vertex {u}")
         if not (1 <= u <= n and 1 <= v <= n):
             raise GraphFormatError(f"line {lineno}: edge {u} {v} out of range 1..{n}")
-        edges.append((min(u, v), max(u, v)))
-    if len(set(edges)) != len(edges):
-        seen = set()
-        for lineno, line in body:
-            u, v = sorted(int(x) for x in line.split())
-            if (u, v) in seen:
-                raise GraphFormatError(f"line {lineno}: duplicate edge {u} {v}")
-            seen.add((u, v))
-    return Graph.from_edges(n, edges)
+        e = (u, v) if u < v else (v, u)
+        if repeat is None and e in edges:
+            repeat = lineno, e
+        edges[e] = None
+    if repeat is not None:
+        lineno, (u, v) = repeat
+        raise GraphFormatError(f"line {lineno}: duplicate edge {u} {v}")
+    return Graph(n, tuple(sorted(edges)))
 
 
 def write_graph(g: Graph) -> str:

@@ -79,6 +79,18 @@ def test_graph_normalization_and_accessors():
     assert g.degree(3) == 2
     assert g.has_edge(2, 1)
     assert not g.has_edge(2, 4)
+    flipped = ((v, u) for u, v in reversed(g.edges))
+    assert Graph.from_edges(4, flipped) == g
+
+
+def test_graph_from_a_list_is_frozen_and_hashable():
+    g = Graph(3, ((1, 2), (2, 3)))
+    for edges in ([(1, 2), (2, 3)], [[1, 2], [2, 3]]):
+        h = Graph(3, edges)
+        assert h == g
+        assert hash(h) == hash(g)
+        assert h.edges == ((1, 2), (2, 3))
+    assert Graph(3, g.edges).edges is g.edges
 
 
 @pytest.mark.parametrize(
@@ -137,6 +149,22 @@ def test_parse_errors_mention_problem(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # A repeat on an earlier line does not pre-empt a loop or a range
+        # error on a later one.
+        ("3 3\n1 2\n2 1\n1 1\n", "line 4: loop at vertex 1"),
+        ("4 3\n1 2\n3 4\n2 1\n", "line 4: duplicate edge 1 2"),
+        ("3 3\n1 2\n2 1\n1 9\n", "line 4: edge 1 9 out of range 1..3"),
+    ],
+)
+def test_parse_reports_the_first_fault_in_file_order(text, message):
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
 def test_write_graph_canonical_form():
     g = Graph.from_edges(4, [(3, 4), (2, 1)])
     assert write_graph(g) == "4 2\n1 2\n3 4\n"
@@ -146,6 +174,18 @@ def test_write_graph_canonical_form():
 @given(graphs(max_n=8))
 def test_parse_write_round_trip(g):
     assert parse_graph(write_graph(g)) == g
+
+
+@settings(max_examples=100)
+@given(graphs(max_n=8), st.randoms(use_true_random=False))
+def test_parse_round_trip_in_any_line_order(g, rng):
+    lines = [f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}" for u, v in g.edges]
+    rng.shuffle(lines)
+    lines.insert(0, f"{g.n} {g.m}")
+    for _ in range(rng.randrange(4)):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  ", "# note", "  # 1 2"]))
+    text = "\n".join(lines) + "\n"
+    assert parse_graph(text) == g
 
 
 def test_generator_families():

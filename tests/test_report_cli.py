@@ -3,9 +3,11 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -481,3 +483,33 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "3 3\n1 2\n1 3\n2 3\n"
+
+
+def test_readme_command_line_examples_are_current(tmp_path, monkeypatch, capsys):
+    # Each "$ reesreg ..." line of the README's "Command line" block must
+    # print exactly the lines under it; "> FILE" sends the output to FILE.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            examples.append((line[2:], []))
+        else:
+            examples[-1][1].append(line)
+    assert len(examples) == 6
+    monkeypatch.chdir(tmp_path)
+    for command, shown in examples:
+        words = shlex.split(command)
+        target = None
+        if ">" in words:
+            words, target = words[: words.index(">")], words[-1]
+        assert words[0] == "reesreg"
+        assert main(words[1:]) == 0, command
+        out = capsys.readouterr().out
+        if target is not None:
+            Path(target).write_text(out, encoding="utf-8")
+            out = ""
+        while shown and not shown[-1]:
+            shown.pop()
+        assert out == "".join(f"{x}\n" for x in shown), command
