@@ -46,14 +46,21 @@ class Graph:
     """Simple undirected graph on vertices 1..n.
 
     The constructor is the one check of a graph's edges: they must be sorted
-    (u, v) pairs with 1 <= u < v <= n and no repeats, else ValueError.  A
-    list is stored as a tuple of tuples.  `Graph.from_edges` orients and
-    sorts arbitrary input.
+    (u, v) pairs with 1 <= u < v <= n and no repeats, else ValueError.  Edges
+    given as a list, or as pairs that are not tuples, are stored as a tuple
+    of tuples.  `Graph.from_edges` orients and sorts arbitrary input.
+
+    `_facts` keeps what the package has computed about this graph, so that
+    each fact is computed once however many callers ask: the blossom run
+    (`matching._matching`) and the odd cycle condition
+    (`rees.satisfies_odd_cycle_condition`).  It takes no part in equality,
+    hashing or repr, and a copy made by `dataclasses.replace` starts empty.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     adj_bits: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _facts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -63,6 +70,11 @@ class Graph:
         bits = [0] * (self.n + 1)
         prev = (0, 0)
         for e in self.edges:
+            if type(e) is not tuple:
+                # A tuple of other pairs: store tuples, then check those.
+                object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+                self.__post_init__()
+                return
             u, v = e
             if not (1 <= u < v <= self.n):
                 raise ValueError(f"edge {e} is not a pair 1 <= u < v <= {self.n}")

@@ -9,7 +9,9 @@ shared by its searches, each of which resets only the entries of its tree.
 The same run yields D(G), the vertices missed by some maximum matching: a
 search that fails is never touched again, because no later augmenting path
 enters its tree (Edmonds 1965), so its tree and root are those of the final
-matching, and D(G) is the union of the failed searches' outer sets.
+matching, and D(G) is the union of the failed searches' outer sets.  The
+run is made once per graph: the matching and D(G) are stored in the
+graph's `_facts`, where every later caller reads them.
 `matching_number_bruteforce` is the independent oracle: plain branch and
 bound over the edge list.  The Konig test and the first maximum independent
 set of a Konig graph are one 2-SAT walk on one maximum matching.
@@ -47,9 +49,19 @@ def max_matching(g: Graph) -> Matching:
 
 
 def _matching(g: Graph) -> tuple[Matching, int]:
-    """A maximum matching of g and the mask of D(G), from one run of the
-    blossom loop: the union of its failed searches' outer masks (see the
-    module docstring).  An isolated root's mask is its own bit."""
+    """A maximum matching of g and the mask of D(G), from the one blossom
+    run of g: the first call stores it in `g._facts`, later calls read it."""
+    facts = g._facts
+    found = facts.get("matching")
+    if found is None:
+        found = facts["matching"] = _blossom(g)
+    return found
+
+
+def _blossom(g: Graph) -> tuple[Matching, int]:
+    # One run of the blossom loop: the maximum matching and D(G), the union
+    # of its failed searches' outer masks (see the module docstring).  An
+    # isolated root's mask is its own bit.
     n = g.n
     adj = g.adj_bits
     mate = [0] * (n + 1)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InstanceTooLargeError, InternalInvariantError, NoOddCycleError
 from .graphs import (
@@ -55,6 +55,9 @@ def cone_graph(g: Graph) -> Graph:
 
 def _all_components_odd(h: Graph, mask: int) -> bool:
     # Does every component of h restricted to `mask` contain an odd cycle?
+    # Fewer than three vertices hold none.
+    if mask.bit_count() < 3:
+        return not mask
     return not any(bipartite for _, _, bipartite in _bfs(h, mask))
 
 
@@ -93,16 +96,17 @@ def _is_fundamental(h: Graph, t_mask: int, n_mask: int) -> bool:
     )
 
 
-def _fundamental_masks(h: Graph) -> list[int]:
-    # The fundamental independent sets of h as masks, in independent-set
-    # stream order (smallest first, lexicographic within a size).
-    return [t for t, nb in _independent_from(h, 1) if _is_fundamental(h, t, nb)]
+def _fundamental_pairs(h: Graph) -> list[tuple[int, int]]:
+    # The fundamental independent sets T of h with N(T), as mask pairs, in
+    # independent-set stream order (smallest first, lexicographic within a
+    # size).
+    return [(t, nb) for t, nb in _independent_from(h, 1) if _is_fundamental(h, t, nb)]
 
 
 def fundamental_independent_sets(h: Graph) -> tuple[VertexSet, ...]:
     """All fundamental independent sets, in independent-set stream order
     (smallest first, lexicographic within a size)."""
-    return tuple(labels_of(t) for t in _fundamental_masks(h))
+    return tuple(labels_of(t) for t, _ in _fundamental_pairs(h))
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,11 @@ class HalfSpaceSystem:
     @cached_property
     def _search_index(self) -> _SearchIndex:
         # Built on the first lattice search and kept for the next dilation.
-        return _index_constraints(self)
+        return _index_masks(
+            self.ambient_n,
+            mask_of(self.coord_constraints),
+            [(mask_of(t), mask_of(nb)) for t, nb in self.set_constraints],
+        )
 
 
 def halfspace_system(h: Graph) -> HalfSpaceSystem:
@@ -136,7 +144,9 @@ def halfspace_system(h: Graph) -> HalfSpaceSystem:
     if is_bipartite(h):
         raise NoOddCycleError("half-space description needs an odd cycle")
     coords = tuple(v for v in h.vertices if is_regular_vertex(h, v))
-    return _checked_system(h.n, h.adj_bits, coords, _fundamental_masks(h))
+    pairs = _fundamental_pairs(h)
+    _guard(h.adj_bits, coords, pairs)
+    return _listed_system(h.n, coords, pairs)
 
 
 def _strict_somewhere(adj: Sequence[int], t: int, nb: int) -> bool:
@@ -153,38 +163,44 @@ def _strict_somewhere(adj: Sequence[int], t: int, nb: int) -> bool:
     return False
 
 
-def _checked_system(
-    n: int, adj: Sequence[int], coords: tuple[int, ...], masks: Sequence[int]
-) -> HalfSpaceSystem:
-    # The system of the graph on 1..n with adjacency masks `adj`, from its
-    # regular vertices and its fundamental sets (masks), after the
-    # implicit-equality guard.  The sets are listed smallest first, then
-    # lexicographically, and checked in that order.
+def _guard(
+    adj: Sequence[int], coords: tuple[int, ...], pairs: Sequence[tuple[int, int]]
+) -> None:
+    # The implicit-equality guard on a system of the graph with adjacency
+    # masks `adj`: its regular vertices and its (T, N(T)) mask pairs.  Every
+    # constraint is checked; a failing set constraint is reported by the
+    # first failing T in system order (smallest first, then lexicographic).
     for i in coords:
         if not adj[i]:
             raise InternalInvariantError(
                 f"x_{i} >= 0 is an implicit equality (isolated regular vertex)"
             )
-    sets = []
-    for _, labels, t in sorted((t.bit_count(), labels_of(t), t) for t in masks):
-        nb = 0
-        for v in labels:
-            nb |= adj[v]
-        if not _strict_somewhere(adj, t, nb):
-            raise InternalInvariantError(
-                f"set constraint for T = {labels} is an implicit equality"
-            )
-        sets.append((labels, labels_of(nb)))
+    flat = [t for t, nb in pairs if not _strict_somewhere(adj, t, nb)]
+    if flat:
+        t = min(flat, key=lambda t: (t.bit_count(), labels_of(t)))
+        raise InternalInvariantError(
+            f"set constraint for T = {labels_of(t)} is an implicit equality"
+        )
+
+
+def _listed_system(
+    n: int, coords: tuple[int, ...], pairs: Sequence[tuple[int, int]]
+) -> HalfSpaceSystem:
+    # The system on 1..n of the regular vertices and the (T, N(T)) mask
+    # pairs, the sets listed smallest first, then lexicographically.
+    sets = sorted((t.bit_count(), labels_of(t), labels_of(nb)) for t, nb in pairs)
     return HalfSpaceSystem(
-        ambient_n=n, coord_constraints=coords, set_constraints=tuple(sets)
+        ambient_n=n,
+        coord_constraints=coords,
+        set_constraints=tuple((t, nb) for _, t, nb in sets),
     )
 
 
-def _cone_options(g: Graph, comp: int, bipartite: bool) -> list[int]:
-    # The independent subsets I of one component of g (masks, the empty set
-    # included) that leave no bipartite component in comp - N[I].  On a
-    # bipartite component these are its maximal independent sets, the I
-    # with N[I] = comp.
+def _cone_options(g: Graph, comp: int, bipartite: bool) -> list[tuple[int, int]]:
+    # The independent subsets I of one component of g that leave no
+    # bipartite component in comp - N[I], as (I, N(I)) mask pairs, the
+    # empty set included.  On a bipartite component these are its maximal
+    # independent sets, the I with N[I] = comp.
     #
     # The walk decides the vertices in order and leaves a vertex outside
     # N[I] out of I only while that can still pay off.  Only a later
@@ -199,7 +215,7 @@ def _cone_options(g: Graph, comp: int, bipartite: bool) -> list[int]:
         # and outside N[chosen] = closed.
         if not todo:
             if closed == comp if bipartite else _all_components_odd(g, comp & ~closed):
-                options.append(chosen)
+                options.append((chosen, closed & ~chosen))
             return
         bit = todo & -todo
         todo ^= bit
@@ -212,16 +228,18 @@ def _cone_options(g: Graph, comp: int, bipartite: bool) -> list[int]:
     return options
 
 
-def _cone_system(g: Graph) -> HalfSpaceSystem:
-    # halfspace_system(cone_graph(g)), read off g.  The apex is adjacent to
-    # every vertex of g, so in the cone graph: B(T) is connected for every
-    # nonempty independent T, and what is left after deleting T u N(T) is
-    # g - N_g[T] (or nothing, for T = {apex}).  So the fundamental sets are
-    # {apex} and the nonempty independent T of g with no bipartite component
-    # in g - N_g[T]; that test splits over the components of g.  A vertex
-    # v of g is regular when g - v keeps an edge (the cone minus v is
-    # connected, and an edge plus the apex is a triangle); the apex is
-    # regular when no component of g is bipartite.
+def _cone_constraints(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    # The cone graph's regular vertices and its fundamental sets T with
+    # N(T), as mask pairs in no particular order, read off g and checked by
+    # the implicit-equality guard.  The apex is adjacent to every vertex of
+    # g, so in the cone graph: B(T) is connected for every nonempty
+    # independent T, and what is left after deleting T u N(T) is g - N_g[T]
+    # (or nothing, for T = {apex}).  So the fundamental sets are {apex} and
+    # the nonempty independent T of g with no bipartite component in
+    # g - N_g[T]; that test splits over the components of g, and N(T) is
+    # N_g(T) plus the apex.  A vertex v of g is regular when g - v keeps an
+    # edge (the cone minus v is connected, and an edge plus the apex is a
+    # triangle); the apex is regular when no component of g is bipartite.
     if not g.m:
         raise NoOddCycleError("half-space description needs an odd cycle")
     apex = g.n + 1
@@ -231,11 +249,24 @@ def _cone_system(g: Graph) -> HalfSpaceSystem:
     coords = tuple(v for v in g.vertices if g.m > g.degree(v))
     if not any(bipartite for _, _, bipartite in components):
         coords += (apex,)
-    # One option per component; their masks are disjoint, so the sum of a
-    # choice is its union.
+    # One option per component; their masks are disjoint, so a choice's
+    # T and N(T) are the unions of its parts'.
     options = [_cone_options(g, comp, bipartite) for comp, _, bipartite in components]
-    fundamental = [apex_bit] + [sum(choice) for choice in product(*options) if any(choice)]
-    return _checked_system(apex, adj, coords, fundamental)
+    pairs = [(apex_bit, g.full_mask)]
+    for choice in product(*options):
+        t = nb = 0
+        for part, part_nb in choice:
+            t |= part
+            nb |= part_nb
+        if t:
+            pairs.append((t, nb | apex_bit))
+    _guard(adj, coords, pairs)
+    return coords, pairs
+
+
+def _cone_system(g: Graph) -> HalfSpaceSystem:
+    # halfspace_system(cone_graph(g)), read off g.
+    return _listed_system(g.n + 1, *_cone_constraints(g))
 
 
 def point_membership(
@@ -303,28 +334,31 @@ class _SearchIndex(NamedTuple):
     cap: tuple[tuple[int, ...], ...]  # e_i <= slack: i in T after all of N
 
 
-def _index_constraints(system: HalfSpaceSystem) -> _SearchIndex:
-    n = system.ambient_n
-    listed = mask_of(system.coord_constraints)
+def _index_masks(n: int, listed: int, pairs: Iterable[tuple[int, int]]) -> _SearchIndex:
+    # The index of the system on 1..n with the listed coordinates `listed`
+    # and the set constraints (T, N) given as mask pairs, numbered in order.
     lists: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(6)]
     plus, minus, floor_at, spend, spend2, cap = lists
     balance = []
     last_n = []
-    for c, (t, nb) in enumerate(system.set_constraints):
-        t_mask = mask_of(t)
-        n_mask = mask_of(nb)
-        balance.append((n_mask & listed).bit_count() - (t_mask & listed).bit_count())
-        last = nb[-1] if nb else 0
+    for c, (t, nb) in enumerate(pairs):
+        balance.append((nb & listed).bit_count() - (t & listed).bit_count())
+        last = max(nb.bit_length() - 1, 0)
         last_n.append(last - 1)
-        for v in nb:
-            plus[v - 1].append(c)
         if nb:
             floor_at[last - 1].append(c)
-        for v in t:
-            minus[v - 1].append(c)
-            (spend2 if v < last else cap)[v - 1].append(c)
-        for v in labels_of((1 << last) - 1 & ~t_mask & ~n_mask):
-            spend[v - 1].append(c)
+        for per_i, rest in ((plus, nb), (spend, (1 << last) - 1 & ~(t | nb | 1))):
+            while rest:
+                low = rest & -rest
+                per_i[low.bit_length() - 2].append(c)
+                rest ^= low
+        rest = t
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 2
+            minus[i].append(c)
+            (spend2 if i + 1 < last else cap)[i].append(c)
+            rest ^= low
     return _SearchIndex(
         tuple(bool(listed >> v & 1) for v in range(1, n + 1)),
         tuple(balance),
@@ -333,10 +367,30 @@ def _index_constraints(system: HalfSpaceSystem) -> _SearchIndex:
     )
 
 
+def _least_dilation(index: _SearchIndex) -> int:
+    # The least q whose relative interior can pass the precheck of
+    # _search: with every listed coordinate at its minimum 1, 2q covers
+    # them all, and each constraint with an N coordinate can still be made
+    # strict, 2q >= listed - balance + 1.  A constraint with no N
+    # coordinate fails every q alike.
+    listed = sum(index.listed)
+    need = max(
+        [listed] + [listed - b + 1 for b, last in zip(index.balance, index.last_n) if last >= 0]
+    )
+    return max(1, (need + 1) // 2)
+
+
 def _points(system: HalfSpaceSystem, q: int, strict: bool) -> Iterator[LatticePoint]:
-    # The lattice points of the q-th dilation (strict: of its relative
-    # interior), ascending lexicographic, produced one at a time by a
-    # depth-first search over the coordinates in order.
+    # _search on a system, after the enumeration guard.
+    _check_enum_guard(system.ambient_n, q)
+    return _search(system._search_index, system.ambient_n, q, strict)
+
+
+def _search(index: _SearchIndex, n: int, q: int, strict: bool) -> Iterator[LatticePoint]:
+    # The lattice points of the q-th dilation of the system on 1..n behind
+    # `index` (strict: of its relative interior), ascending lexicographic,
+    # produced one at a time by a depth-first search over the coordinates
+    # in order.
     #
     # Every point is x = low + e at the listed coordinates (low = 1 under
     # `strict`, else 0) and x = e elsewhere, with e >= 0 summing to the
@@ -350,10 +404,7 @@ def _points(system: HalfSpaceSystem, q: int, strict: bool) -> Iterator[LatticePo
     # come, and slack >= 0 after that.  The value of the next coordinate
     # moves each bound one way, so the values that keep every bound form an
     # interval, and only those children are visited.
-    _check_enum_guard(system.ambient_n, q)
     low = 1 if strict else 0
-    n = system.ambient_n
-    index = system._search_index
     mins = [low if is_listed else 0 for is_listed in index.listed]
     excess = UNIT_COORDINATE_SUM * q - sum(mins)
     slack = [low * (b - 1) for b in index.balance]
@@ -427,10 +478,16 @@ def compute_q0(g: Graph) -> OracleResult:
     """Search dilations q = 1, 2, ... of the cone-graph polytope.
 
     Each dilation's candidates are scanned in ascending lexicographic order
-    and the scan stops at the first interior point.  Requires at least two
-    edges and a normal Rees algebra.  The search is bounded by
-    q <= n + 1 - mat(G); running past the bound would contradict reg >= mat
-    and raises InternalInvariantError.
+    and the scan stops at the first interior point.  The search runs on the
+    cone's constraints as masks, read off G, and starts at the least q
+    that can hold an interior point: 2q must reach the number of listed
+    coordinates, and each set constraint must be strict with every listed
+    coordinate at 1 and the rest of 2q on its N side.  Every smaller
+    dilation's interior is empty.  Requires at least two edges and a
+    normal Rees algebra; the normality test and mat(G) are the graph's
+    stored facts when the closed form has run on it.  The search is
+    bounded by q <= n + 1 - mat(G); running past the bound would
+    contradict reg >= mat and raises InternalInvariantError.
     """
     if g.m < 2:
         raise ValueError("oracle needs a graph with at least two edges")
@@ -441,12 +498,18 @@ def compute_q0(g: Graph) -> OracleResult:
 
 def _q0(g: Graph) -> OracleResult:
     # compute_q0 for a g known to have two edges and a normal Rees algebra.
-    system = _enumerable_cone_system(g, 1)
-    bound = g.n + 1 - matching_number(g)
-    for q in range(1, bound + 1):
-        first = next(_points(system, q, strict=True), None)
+    # The search runs on an index built straight from the cone's masks and
+    # starts at the least dilation that its precheck admits; the bound
+    # keeps q within the enumeration guard.
+    n = g.n + 1
+    _check_enum_guard(n, 1)
+    coords, pairs = _cone_constraints(g)
+    index = _index_masks(n, mask_of(coords), pairs)
+    bound = n - matching_number(g)
+    for q in range(_least_dilation(index), bound + 1):
+        first = next(_search(index, n, q, strict=True), None)
         if first is not None:
-            return OracleResult(q0=q, interior_witness=first, reg=g.n + 1 - q)
+            return OracleResult(q0=q, interior_witness=first, reg=n - q)
     raise InternalInvariantError(
         f"no interior lattice point up to the bound q = {bound}"
     )

@@ -88,15 +88,39 @@ def satisfies_odd_cycle_condition(g: Graph) -> bool:
     Decided in the three stages of the module docstring.  Raises
     InstanceTooLargeError when the exact search grows more than
     OCC_STEP_LIMIT induced paths.
+
+    The answer is computed once per graph and stored in `g._facts` with the
+    number of induced paths its search grew; a search that raised stores
+    nothing.  A stored answer replays the budget against the current
+    OCC_STEP_LIMIT, so it raises exactly when a new search would.
     """
+    facts = g._facts
+    found = facts.get("occ")
+    if found is None:
+        found = facts["occ"] = _odd_cycle_condition(g)
+    answer, steps = found
+    if steps > OCC_STEP_LIMIT:
+        raise _over_budget()
+    return answer
+
+
+def _over_budget() -> InstanceTooLargeError:
+    return InstanceTooLargeError(
+        f"the odd cycle condition search grew more than"
+        f" OCC_STEP_LIMIT = {OCC_STEP_LIMIT} induced paths"
+    )
+
+
+def _odd_cycle_condition(g: Graph) -> tuple[bool, int]:
+    # The three stages: the answer and the induced paths stage 3 grew.
     full = g.full_mask
     odd = next(((c, lay) for c, lay, bipartite in _bfs(g, full) if not bipartite), None)
     if odd is None:
-        return True
+        return True, 0
     comp, layers = odd
     walk = mask_of(_odd_walk(g, layers))
     if not mask_is_bipartite(g, full & ~walk & ~neighbor_mask(g, walk)):
-        return False
+        return False, 0
     return _chordless_search(g, comp)
 
 
@@ -157,10 +181,11 @@ def _blocks(g: Graph, mask: int) -> Iterator[int]:
                 yield block
 
 
-def _chordless_search(g: Graph, comp: int) -> bool:
+def _chordless_search(g: Graph, comp: int) -> tuple[bool, int]:
     """Stage 3: is there no chordless odd cycle C with least vertex s such
     that g[{v > s} - N[C]] has an odd cycle?  Every odd cycle of g must lie
-    in the component `comp`, so the search stays inside it."""
+    in the component `comp`, so the search stays inside it.  Returns the
+    answer and the number of induced paths grown."""
     adj = g.adj_bits
     # in_block[s]: the union of the non-bipartite blocks that hold s.  It
     # is built at the first start that survives the cheaper tests, which on
@@ -216,7 +241,7 @@ def _chordless_search(g: Graph, comp: int) -> bool:
                     w = (close & -close).bit_length() - 1
                     close &= close - 1
                     if shrink(live, w):
-                        return False
+                        return False, steps
             grow = cand & ~s_adj
             if not grow:
                 continue
@@ -229,12 +254,9 @@ def _chordless_search(g: Graph, comp: int) -> bool:
                     continue
                 steps += 1
                 if steps > OCC_STEP_LIMIT:
-                    raise InstanceTooLargeError(
-                        f"the odd cycle condition search grew more than"
-                        f" OCC_STEP_LIMIT = {OCC_STEP_LIMIT} induced paths"
-                    )
+                    raise _over_budget()
                 stack.append((w, v1, path | 1 << w, inner_w, length + 1, lw))
-    return True
+    return True, steps
 
 
 def is_rees_normal(g: Graph) -> bool:

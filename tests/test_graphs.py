@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import time
@@ -30,6 +31,7 @@ from reesreg import (
     parse_graph,
     path,
     random_graph,
+    regularity,
     write_graph,
 )
 from reesreg.corpus import all_graphs, exhaustive_graphs, random_graphs
@@ -81,6 +83,31 @@ def test_graph_normalization_and_accessors():
     assert not g.has_edge(2, 4)
     flipped = ((v, u) for u, v in reversed(g.edges))
     assert Graph.from_edges(4, flipped) == g
+    # A tuple of lists is stored as a tuple of tuples, as a list of lists is.
+    for edges in (([1, 2], [2, 3]), ((1, 2), [2, 3])):
+        h = Graph(3, edges)
+        assert h.edges == ((1, 2), (2, 3))
+        assert all(type(e) is tuple for e in h.edges)
+        assert h == Graph(3, ((1, 2), (2, 3)))
+    with pytest.raises(ValueError, match="not sorted"):
+        Graph(3, ([2, 3], [1, 2]))
+
+
+def test_stored_facts_are_invisible():
+    # What the package stores on a graph changes none of its value
+    # semantics, and a copy starts with nothing stored.
+    g = paper_example()
+    assert not g._facts
+    regularity(g)
+    assert g._facts
+    fresh = paper_example()
+    assert g == fresh
+    assert hash(g) == hash(fresh)
+    assert repr(g) == repr(fresh)
+    assert {g: 1}[fresh] == 1
+    copy = dataclasses.replace(g)
+    assert copy == g and not copy._facts
+    assert not dataclasses.replace(g, n=8)._facts
 
 
 def test_graph_from_a_list_is_frozen_and_hashable():

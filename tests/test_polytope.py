@@ -44,7 +44,16 @@ from reesreg.graphs import (
     mask_is_bipartite,
     mask_of,
 )
-from reesreg.polytope import UNIT_COORDINATE_SUM, _cone_system, _strict_somewhere
+from reesreg.polytope import (
+    UNIT_COORDINATE_SUM,
+    OracleResult,
+    _SearchIndex,
+    _cone_constraints,
+    _cone_system,
+    _index_masks,
+    _q0,
+    _strict_somewhere,
+)
 from reesreg.rees import RegularityStatus
 
 
@@ -161,9 +170,10 @@ def test_halfspace_cone_of_triangle():
 
 def test_implicit_equality_guard_fires():
     # A path component next to a triangle: T = {2} (and T = {1, 3}) hold
-    # with equality on every edge, which the builder must refuse.
+    # with equality on every edge, which halfspace_system must refuse,
+    # naming the first in system order.
     g = Graph.from_edges(6, [(1, 2), (2, 3), (4, 5), (4, 6), (5, 6)])
-    with pytest.raises(InternalInvariantError):
+    with pytest.raises(InternalInvariantError, match=r"T = \(2,\) is an implicit"):
         halfspace_system(g)
 
 
@@ -257,6 +267,59 @@ def test_cone_system_matches_general_build_sparse_seeded():
         g = random_graph(n, c / n, seed=rng.randrange(1 << 30))
         if g.m:
             assert _cone_system(g) == halfspace_system(cone_graph(g)), g
+
+
+def _renumbered(index: _SearchIndex) -> tuple:
+    # The index up to the numbering of its set constraints: the listed
+    # coordinates, and per constraint its balance, its last N coordinate
+    # and the coordinates at which each list holds it, in sorted order.
+    sig = [[b, last] for b, last in zip(index.balance, index.last_n)]
+    for per_i in index[3:]:
+        for s in sig:
+            s.append([])
+        for i, cs in enumerate(per_i):
+            for c in cs:
+                sig[c][-1].append(i)
+    return index.listed, sorted(map(repr, sig))
+
+
+def _oracle_inputs():
+    # Every graph with n <= 6, then seeded sparse G(n, c/n) with
+    # n = 7..11, a third of them at c = 2.3, where q0 is near n.
+    yield from exhaustive_graphs(6)
+    rng = random.Random(15)
+    for i in range(1500):
+        n = rng.randint(7, 11)
+        c = 2.3 if i % 3 == 0 else rng.uniform(1.0, 4.0)
+        yield random_graph(n, c / n, seed=rng.randrange(1 << 30))
+
+
+def test_mask_native_oracle_matches_the_dilation_loop():
+    # The oracle searches an index built from the cone's masks, in their
+    # own order, and starts at the first dilation its precheck admits.  It
+    # must find what the public search finds dilation by dilation on the
+    # listed system, and its index must be the system's up to the
+    # numbering of the set constraints (exactly the system's, numbered in
+    # the system's order).
+    cells = set()
+    for g in _oracle_inputs():
+        if g.m < 2 or not is_rees_normal(g):
+            continue
+        system = _cone_system(g)
+        for q in range(1, g.n + 2):
+            points = interior_lattice_points(system, q)
+            if points:
+                break
+        assert _q0(g) == OracleResult(q0=q, interior_witness=points[0], reg=g.n + 1 - q), g
+        coords, pairs = _cone_constraints(g)
+        index = _index_masks(g.n + 1, mask_of(coords), pairs)
+        assert _renumbered(index) == _renumbered(system._search_index), g
+        in_order = sorted(pairs, key=lambda tn: (tn[0].bit_count(), labels_of(tn[0])))
+        assert _index_masks(g.n + 1, mask_of(coords), in_order) == system._search_index, g
+        cells.add((g.n, q))
+    # q0 takes at least four values at each n past the exhaustive range.
+    for n in range(7, 12):
+        assert len({q for m, q in cells if m == n}) >= 4, sorted(cells)
 
 
 def test_interior_frozen_for_cone_of_triangle():
@@ -407,7 +470,7 @@ def test_oracle_matches_milp_seeded_up_to_ambient_limit():
     # An independent q0 reference past brute-force scale, on the graphs of
     # the seeded test above.  Coordinates without a listed constraint are
     # left unbounded, so the system alone keeps them nonnegative.
-    pytest.importorskip("scipy")
+    pytest.importorskip("scipy", exc_type=ImportError)
     checked = 0
     for g in random_graphs(11, 1100, seed=1):
         if g.n < 9 or regularity(g).status is not RegularityStatus.COMPUTED:

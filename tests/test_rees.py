@@ -340,3 +340,33 @@ def test_odd_cycle_condition_step_budget(monkeypatch, tmp_path, capsys):
     f.write_text(write_graph(g), encoding="utf-8")
     assert main(["classify", str(f)]) == 2
     assert "OCC_STEP_LIMIT" in capsys.readouterr().err
+
+
+def test_odd_cycle_condition_budget_replays_on_a_stored_answer(monkeypatch):
+    # The answer is computed once per graph and stored with the paths its
+    # search grew.  A search that raised stores nothing, so restoring the
+    # limit gives the answer; a stored answer raises again under a limit
+    # that its search would have passed.
+    runs = []
+
+    def counted(g):
+        runs.append(g)
+        return decide(g)
+
+    decide = rees._odd_cycle_condition
+    monkeypatch.setattr(rees, "_odd_cycle_condition", counted)
+    limit = rees.OCC_STEP_LIMIT
+    g = random_graph(14, 0.2, seed=138)
+    monkeypatch.setattr(rees, "OCC_STEP_LIMIT", 3)
+    with pytest.raises(InstanceTooLargeError, match="OCC_STEP_LIMIT = 3"):
+        satisfies_odd_cycle_condition(g)
+    assert "occ" not in g._facts
+    monkeypatch.setattr(rees, "OCC_STEP_LIMIT", limit)
+    assert satisfies_odd_cycle_condition(g)
+    assert len(runs) == 2
+    monkeypatch.setattr(rees, "OCC_STEP_LIMIT", 3)
+    with pytest.raises(InstanceTooLargeError, match="OCC_STEP_LIMIT = 3"):
+        satisfies_odd_cycle_condition(g)
+    monkeypatch.setattr(rees, "OCC_STEP_LIMIT", 10)
+    assert is_rees_normal(g)
+    assert len(runs) == 2

@@ -23,10 +23,12 @@ from reesreg import (
     paper_example,
     path,
     random_graph,
+    regularity,
     write_graph,
 )
+from reesreg import matching, rees
 from reesreg.cli import main
-from reesreg.corpus import EXHAUSTIVE_N_LIMIT, check_graph, corpus_run
+from reesreg.corpus import EXHAUSTIVE_N_LIMIT, check_graph, corpus_run, random_graphs
 from reesreg.matching import _matching
 from reesreg.rees import satisfies_odd_cycle_condition
 
@@ -270,6 +272,35 @@ def test_oracle_report_runs_the_odd_cycle_condition_once(tmp_path, monkeypatch, 
     assert main(["regularity", target, "--oracle"]) == 0
     assert len(calls) == 1
     assert "agreement    True" in capsys.readouterr().out
+
+
+def test_check_graph_computes_each_fact_once(monkeypatch):
+    # The closed form, the brute-force witness search and the oracle all
+    # ask for the matching and the odd cycle condition; each is computed
+    # once per graph, behind the memo.
+    blossoms, occs = [], []
+
+    def blossom(g):
+        blossoms.append(g)
+        return run_blossom(g)
+
+    def occ(g):
+        occs.append(g)
+        return decide_occ(g)
+
+    run_blossom, decide_occ = matching._blossom, rees._odd_cycle_condition
+    _patch_every_binding(monkeypatch, "reesreg.matching", "_blossom", blossom)
+    _patch_every_binding(monkeypatch, "reesreg.rees", "_odd_cycle_condition", occ)
+    computed = 0
+    for g in random_graphs(11, 300, seed=4):
+        blossoms.clear()
+        occs.clear()
+        result = check_graph(g)
+        assert not result.failures
+        assert len(blossoms) == 1, g
+        assert len(occs) == (g.m >= 2), g
+        computed += regularity(g).status is RegularityStatus.COMPUTED
+    assert computed >= 100
 
 
 def test_cli_ged_json(tmp_path, capsys):
