@@ -14,7 +14,7 @@ searched for its components.
 A graph is called Tutte-Berge when some independent set T attains
 |T| = |N(T)| + |V| - 2 mat(G), the maximum possible value.  That holds
 exactly when every component of the subgraph induced on D(G) is a single
-vertex.
+vertex, that is, when no edge has both ends in D(G).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .graphs import (
     Graph,
     VertexSet,
     _bfs,
-    _independent_from,
     components_within,
     labels_of,
     mask_of,
@@ -110,23 +109,62 @@ def is_tutte_berge(g: Graph) -> bool:
     deficiency equation; the empty graph and perfect-matching graphs pass
     with the empty witness.
     """
-    return gallai_edmonds(g).tutte_berge
+    return _tutte_berge(g, _matching(g)[1])
+
+
+def _tutte_berge(g: Graph, d_mask: int) -> bool:
+    """Is every component of D(G) a single vertex, with `d_mask` the mask
+    of D(G)?  That is, no edge has both ends in D."""
+    return not neighbor_mask(g, d_mask) & d_mask
 
 
 def tutte_berge_bruteforce(g: Graph) -> TutteBergeWitness | None:
     """First independent set (smallest, then lexicographic) attaining the
-    deficiency equation, or None.  Enumerates independent sets, so guarded
+    deficiency equation, or None.  Searches independent sets, so guarded
     to n <= 20."""
     if g.n > INDEPENDENT_ENUM_LIMIT:
         raise InstanceTooLargeError(
             f"n = {g.n} exceeds the independent-set enumeration limit"
         )
-    # |N(T)| >= 0 rules out every T smaller than the deficiency.
+    # T and N(T) are disjoint, so |N(T)| >= 0 rules out every T smaller
+    # than the deficiency and |T| + |N(T)| <= n every T larger than
+    # (n + deficiency) // 2.
     defect = deficiency(g)
-    for t, nb in _independent_from(g, defect):
-        if t.bit_count() == nb.bit_count() + defect:
+    for k in range(defect, (g.n + defect) // 2 + 1):
+        t = _first_attaining(g, k, k - defect)
+        if t is not None:
             return TutteBergeWitness(t_set=labels_of(t), deficiency=defect)
     return None
+
+
+def _first_attaining(g: Graph, k: int, cap: int) -> int | None:
+    # The first independent k-set T, lexicographic by member list, with
+    # |N(T)| = cap, or None.  N(T) is built one member at a time and only
+    # grows as T does, so a partial T whose neighborhood is past the cap is
+    # cut with everything below it; a full T must meet the cap exactly.
+    n = g.n
+    adj = g.adj_bits
+
+    def rec(start: int, chosen: int, nb: int, need: int) -> int | None:
+        for v in range(start, n - need + 2):
+            if nb >> v & 1:
+                continue
+            nb_v = nb | adj[v]
+            size = nb_v.bit_count()
+            if size > cap:
+                continue
+            if need == 1:
+                if size == cap:
+                    return chosen | 1 << v
+            else:
+                found = rec(v + 1, chosen | 1 << v, nb_v, need - 1)
+                if found is not None:
+                    return found
+        return None
+
+    if not k:
+        return 0 if cap == 0 else None
+    return rec(1, 0, 0, k)
 
 
 def tutte_berge_witness(g: Graph) -> TutteBergeWitness | None:

@@ -21,6 +21,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from .decomposition import INDEPENDENT_ENUM_LIMIT
 from .errors import InstanceTooLargeError, InternalInvariantError, NoOddCycleError
 from .graphs import (
     Graph,
@@ -43,6 +44,9 @@ UNIT_COORDINATE_SUM = 2
 
 ENUM_AMBIENT_LIMIT = 12
 ENUM_DILATION_LIMIT = 12
+# Points one lattice enumeration may produce: K_11's cone has 71,214 at
+# q = 4 and 336,336 at q = 5, and each q costs four to five times the last.
+ENUM_POINT_LIMIT = 100_000
 NORMALITY_QMAX_LIMIT = 4
 
 
@@ -99,13 +103,20 @@ def _is_fundamental(h: Graph, t_mask: int, n_mask: int) -> bool:
 def _fundamental_pairs(h: Graph) -> list[tuple[int, int]]:
     # The fundamental independent sets T of h with N(T), as mask pairs, in
     # independent-set stream order (smallest first, lexicographic within a
-    # size).
+    # size).  The walk visits every independent set of h, so it is guarded
+    # like the brute-force witness search.
+    if h.n > INDEPENDENT_ENUM_LIMIT:
+        raise InstanceTooLargeError(
+            f"n = {h.n} exceeds the independent-set enumeration limit"
+        )
     return [(t, nb) for t, nb in _independent_from(h, 1) if _is_fundamental(h, t, nb)]
 
 
 def fundamental_independent_sets(h: Graph) -> tuple[VertexSet, ...]:
     """All fundamental independent sets, in independent-set stream order
-    (smallest first, lexicographic within a size)."""
+    (smallest first, lexicographic within a size).  Walks every independent
+    set, so raises InstanceTooLargeError past INDEPENDENT_ENUM_LIMIT
+    vertices."""
     return tuple(labels_of(t) for t, _ in _fundamental_pairs(h))
 
 
@@ -137,14 +148,16 @@ def halfspace_system(h: Graph) -> HalfSpaceSystem:
     """Build the half-space description for a graph with an odd cycle.
 
     Raises NoOddCycleError for bipartite input (the description is only
-    exact in the presence of an odd cycle) and InternalInvariantError if a
-    listed inequality turns out to be an implicit equality, i.e. tight at
-    every polytope vertex e_u + e_v.
+    exact in the presence of an odd cycle), then InstanceTooLargeError past
+    INDEPENDENT_ENUM_LIMIT vertices (the fundamental sets come from a walk
+    over every independent set), and InternalInvariantError if a listed
+    inequality turns out to be an implicit equality, i.e. tight at every
+    polytope vertex e_u + e_v.
     """
     if is_bipartite(h):
         raise NoOddCycleError("half-space description needs an odd cycle")
-    coords = tuple(v for v in h.vertices if is_regular_vertex(h, v))
     pairs = _fundamental_pairs(h)
+    coords = tuple(v for v in h.vertices if is_regular_vertex(h, v))
     _guard(h.adj_bits, coords, pairs)
     return _listed_system(h.n, coords, pairs)
 
@@ -381,9 +394,20 @@ def _least_dilation(index: _SearchIndex) -> int:
 
 
 def _points(system: HalfSpaceSystem, q: int, strict: bool) -> Iterator[LatticePoint]:
-    # _search on a system, after the enumeration guard.
+    # _search on a system, after the enumeration guard.  The points are
+    # counted, and one past ENUM_POINT_LIMIT raises InstanceTooLargeError.
     _check_enum_guard(system.ambient_n, q)
-    return _search(system._search_index, system.ambient_n, q, strict)
+    return _within_budget(_search(system._search_index, system.ambient_n, q, strict))
+
+
+def _within_budget(points: Iterator[LatticePoint]) -> Iterator[LatticePoint]:
+    for count, point in enumerate(points, 1):
+        if count > ENUM_POINT_LIMIT:
+            raise InstanceTooLargeError(
+                f"lattice enumeration limited to ENUM_POINT_LIMIT ="
+                f" {ENUM_POINT_LIMIT} points"
+            )
+        yield point
 
 
 def _search(index: _SearchIndex, n: int, q: int, strict: bool) -> Iterator[LatticePoint]:
@@ -449,14 +473,16 @@ def _search(index: _SearchIndex, n: int, q: int, strict: bool) -> Iterator[Latti
 
 
 def lattice_points(system: HalfSpaceSystem, q: int) -> tuple[LatticePoint, ...]:
-    """All lattice points of the q-th dilation, ascending lexicographic."""
+    """All lattice points of the q-th dilation, ascending lexicographic.
+    Raises InstanceTooLargeError past ENUM_POINT_LIMIT points."""
     return tuple(_points(system, q, strict=False))
 
 
 def interior_lattice_points(system: HalfSpaceSystem, q: int) -> tuple[LatticePoint, ...]:
     """Lattice points strictly inside the q-th dilation, ascending
     lexicographic.  Candidates are restricted to >= 1 at coordinates with a
-    listed constraint and >= 0 elsewhere."""
+    listed constraint and >= 0 elsewhere.  Raises InstanceTooLargeError
+    past ENUM_POINT_LIMIT points."""
     return tuple(_points(system, q, strict=True))
 
 

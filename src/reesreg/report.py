@@ -157,7 +157,7 @@ def build_report(
     t0 = time.perf_counter()
     # The odd cycle condition implies normality (see rees.is_rees_normal).
     occ = satisfies_odd_cycle_condition(g)
-    reg = _closed_form(g, ge, occ)
+    reg = _closed_form(g, ge.matching.size, ge.tutte_berge, occ)
     timings["regularity"] = (time.perf_counter() - t0) * 1000.0
 
     tb_witness = None

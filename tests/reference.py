@@ -11,8 +11,9 @@ non-bipartite component settles the rest.
 The lattice-point reference tests every composition of 2q against the
 membership test, where the library prunes a depth-first search on partial
 sums.  The Tutte-Berge witness reference tests every vertex subset from
-`itertools.combinations`, where the library walks independent sets on
-bitmasks from the deficiency up; the implicit-equality reference scans
+`itertools.combinations`, where the library searches independent sets on
+bitmasks from the deficiency up and cuts a partial T by the size of N(T);
+the implicit-equality reference scans
 every edge, where the library reads the answer off neighborhood masks.
 """
 

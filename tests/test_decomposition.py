@@ -31,6 +31,7 @@ from reesreg import (
 import reesreg.matching
 from reesreg.corpus import all_graphs, exhaustive_graphs
 from reesreg.graphs import is_bipartite
+from reesreg.matching import Matching
 from reference import (
     gallai_edmonds_by_deletion,
     is_factor_critical_by_deletion,
@@ -139,6 +140,36 @@ def test_bruteforce_matches_subset_reference_sparse_seeded():
         assert t_set == tutte_berge_witness_by_subsets(g), g
         seen.add((min(deficiency(g), 2), t_set is None))
     assert {(2, False), (2, True)} <= seen
+    # One more stratum: 20 graphs with n = 15..17 that are not Tutte-Berge
+    # and have deficiency >= 2.  The search must walk every size up to its
+    # stop at (n + deficiency) // 2 and still find nothing.
+    rng = random.Random(1416)
+    stratum = 0
+    while stratum < 20:
+        n = rng.randint(15, 17)
+        g = random_graph(n, rng.uniform(0.5, 3.0) / n, seed=rng.randrange(1 << 30))
+        if deficiency(g) < 2 or is_tutte_berge(g):
+            continue
+        stratum += 1
+        assert _bruteforce_t_set(g) is None
+        assert tutte_berge_witness_by_subsets(g) is None, g
+
+
+def test_bruteforce_meets_a_wrong_deficiency_exactly():
+    # A stored matching one edge too large makes the deficiency read 2 too
+    # small.  The search must still return the first T that meets the
+    # deficiency it read, as the subset reference does (both read the
+    # stored matching), and its stop at (n + deficiency) // 2 still holds.
+    wrong = 0
+    for g in exhaustive_graphs(6):
+        matching, d_mask = reesreg.matching._matching(g)
+        if not matching.edges or g.n - 2 * matching.size < 2:
+            continue
+        g._facts["matching"] = (Matching(matching.edges + matching.edges[:1]), d_mask)
+        t_set = _bruteforce_t_set(g)
+        assert t_set == tutte_berge_witness_by_subsets(g), g
+        wrong += t_set is not None
+    assert wrong
 
 
 def test_witness_for_disjoint_union():

@@ -36,7 +36,9 @@ from reesreg import (
     verify_normality_small,
 )
 from reference import lattice_points_by_composition, strict_at_some_edge
+from reesreg import polytope
 from reesreg.corpus import all_graphs, exhaustive_graphs, random_graphs
+from reesreg.decomposition import INDEPENDENT_ENUM_LIMIT
 from reesreg.graphs import (
     _independent_of_size,
     components_within,
@@ -44,6 +46,7 @@ from reesreg.graphs import (
     mask_is_bipartite,
     mask_of,
 )
+from reesreg.matching import Matching
 from reesreg.polytope import (
     UNIT_COORDINATE_SUM,
     OracleResult,
@@ -339,6 +342,44 @@ def test_enumeration_guard():
         lattice_points(system, 0)
 
 
+def test_point_budget(monkeypatch):
+    # Every enumeration counts its points and raises on the first one past
+    # ENUM_POINT_LIMIT.  The oracle stops at its first interior point, so
+    # it never meets the budget.
+    system = halfspace_system(complete(4))
+    points = lattice_points(system, 2)
+    interior = interior_lattice_points(system, 3)
+    assert len(points) > 1 and interior
+    monkeypatch.setattr(polytope, "ENUM_POINT_LIMIT", len(points))
+    assert lattice_points(system, 2) == points
+    monkeypatch.setattr(polytope, "ENUM_POINT_LIMIT", len(points) - 1)
+    with pytest.raises(InstanceTooLargeError, match="ENUM_POINT_LIMIT"):
+        lattice_points(system, 2)
+    monkeypatch.setattr(polytope, "ENUM_POINT_LIMIT", len(interior) - 1)
+    with pytest.raises(InstanceTooLargeError, match="ENUM_POINT_LIMIT"):
+        interior_lattice_points(system, 3)
+    monkeypatch.setattr(polytope, "ENUM_POINT_LIMIT", 0)
+    assert compute_q0(cycle(5)) == OracleResult(
+        q0=3, interior_witness=(1, 1, 1, 1, 1, 1), reg=3
+    )
+
+
+def test_independent_set_walks_are_guarded():
+    # The fundamental sets come from a walk over every independent set, so
+    # the general builds refuse a graph past INDEPENDENT_ENUM_LIMIT, after
+    # the bipartite check.
+    big = complete(INDEPENDENT_ENUM_LIMIT + 1)
+    with pytest.raises(InstanceTooLargeError, match="enumeration limit"):
+        halfspace_system(big)
+    with pytest.raises(InstanceTooLargeError, match="enumeration limit"):
+        fundamental_independent_sets(big)
+    with pytest.raises(NoOddCycleError):
+        halfspace_system(path(INDEPENDENT_ENUM_LIMIT + 1))
+    at = complete(INDEPENDENT_ENUM_LIMIT)
+    assert fundamental_independent_sets(at) == tuple((v,) for v in at.vertices)
+    assert halfspace_system(at).coord_constraints == tuple(at.vertices)
+
+
 def test_oracle_guard_runs_before_the_halfspace_build():
     # The build enumerates every independent set of the cone graph, which
     # would not finish on these inputs.
@@ -415,6 +456,30 @@ def test_oracle_matches_formula_small():
         if oracle.q0 > 1:
             below = lattice_points_by_composition(system, oracle.q0 - 1, strict=True)
             assert below == ()
+
+
+def test_a_wrong_stored_matching_cannot_make_the_oracle_agree_wrongly():
+    # The oracle reads mat(G) from the graph's stored blossom run, for its
+    # bound q <= n + 1 - mat.  A smaller stored matching raises the bound
+    # and leaves q0 as it is.  A larger one lowers the bound by one: a
+    # Tutte-Berge graph has q0 at the bound, so its search raises, and any
+    # other graph has q0 one below and keeps it.
+    for g in exhaustive_graphs(5):
+        res = regularity(g)
+        if res.status is not RegularityStatus.COMPUTED:
+            continue
+        oracle = compute_q0(g)
+        matching, d_mask = g._facts["matching"]
+        smaller = Graph(g.n, g.edges)
+        smaller._facts["matching"] = (Matching(matching.edges[:-1]), d_mask)
+        assert compute_q0(smaller) == oracle, g
+        larger = Graph(g.n, g.edges)
+        larger._facts["matching"] = (Matching(matching.edges + matching.edges[:1]), d_mask)
+        if res.tutte_berge:
+            with pytest.raises(InternalInvariantError, match="bound"):
+                compute_q0(larger)
+        else:
+            assert compute_q0(larger) == oracle, g
 
 
 def test_oracle_matches_formula_seeded_up_to_ambient_limit():

@@ -13,6 +13,7 @@ import pytest
 
 from reesreg import (
     ClassificationReport,
+    Graph,
     InstanceTooLargeError,
     RegularityStatus,
     build_report,
@@ -26,9 +27,15 @@ from reesreg import (
     regularity,
     write_graph,
 )
-from reesreg import matching, rees
+from reesreg import matching, polytope, rees
 from reesreg.cli import main
-from reesreg.corpus import EXHAUSTIVE_N_LIMIT, check_graph, corpus_run, random_graphs
+from reesreg.corpus import (
+    EXHAUSTIVE_N_LIMIT,
+    check_graph,
+    corpus_run,
+    exhaustive_graphs,
+    random_graphs,
+)
 from reesreg.matching import _matching
 from reesreg.rees import satisfies_odd_cycle_condition
 
@@ -233,6 +240,19 @@ def test_cli_classify_runs_no_independent_set_search(tmp_path, monkeypatch, caps
     assert data["n"] == 100
 
 
+def test_regularity_builds_no_decomposition(monkeypatch):
+    # The closed form reads mat(G) and the Tutte-Berge test off the stored
+    # blossom run; only the report builds the full decomposition.
+    expected = {g: build_report(g).regularity for g in exhaustive_graphs(5)}
+
+    def no_decomposition(g):
+        raise AssertionError("regularity must not build the decomposition")
+
+    _patch_every_binding(monkeypatch, "reesreg.decomposition", "gallai_edmonds", no_decomposition)
+    for g, want in expected.items():
+        assert regularity(Graph(g.n, g.edges)) == want, g
+
+
 def test_report_runs_the_blossom_once(monkeypatch):
     # Every blossom run goes through `_matching`, `max_matching`'s included,
     # since it looks `_matching` up in its module when called.
@@ -434,6 +454,19 @@ def test_cli_polytope_needs_odd_cycle(tmp_path, capsys):
     empty.write_text("3 0\n", encoding="utf-8")
     assert main(["polytope", str(empty), "--q", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_polytope_point_budget(tmp_path, capsys, monkeypatch):
+    # Past ENUM_POINT_LIMIT points the command exits 2 and prints no point.
+    target = _write(tmp_path, "k3.txt", complete(3))
+    monkeypatch.setattr(polytope, "ENUM_POINT_LIMIT", 5)
+    assert main(["polytope", target, "--q", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ENUM_POINT_LIMIT = 5" in captured.err
+    monkeypatch.setattr(polytope, "ENUM_POINT_LIMIT", 6)
+    assert main(["polytope", target, "--q", "1"]) == 0
+    assert "(6 found)" in capsys.readouterr().out
 
 
 def test_cli_polytope_enum_guard(tmp_path, capsys):
