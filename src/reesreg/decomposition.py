@@ -21,19 +21,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InstanceTooLargeError
 from .graphs import (
+    INDEPENDENT_ENUM_LIMIT,
     Graph,
     VertexSet,
     _bfs,
+    _check_independent_walk,
     components_within,
     labels_of,
     mask_of,
     neighbor_mask,
 )
 from .matching import Matching, _first_max_independent, _matching, matching_number
-
-INDEPENDENT_ENUM_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -122,10 +121,7 @@ def tutte_berge_bruteforce(g: Graph) -> TutteBergeWitness | None:
     """First independent set (smallest, then lexicographic) attaining the
     deficiency equation, or None.  Searches independent sets, so guarded
     to n <= 20."""
-    if g.n > INDEPENDENT_ENUM_LIMIT:
-        raise InstanceTooLargeError(
-            f"n = {g.n} exceeds the independent-set enumeration limit"
-        )
+    _check_independent_walk(g)
     # T and N(T) are disjoint, so |N(T)| >= 0 rules out every T smaller
     # than the deficiency and |T| + |N(T)| <= n every T larger than
     # (n + deficiency) // 2.

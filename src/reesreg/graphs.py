@@ -16,10 +16,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, InstanceTooLargeError
 
 # A set of vertex labels is passed around as a sorted tuple.
 VertexSet = tuple[int, ...]
+
+# Most vertices a walk over every independent set takes: path(20) has
+# 17,711 of them, and each 6 vertices more cost 8 to 9 times as much.
+INDEPENDENT_ENUM_LIMIT = 20
 
 
 def mask_of(labels: Iterable[int]) -> int:
@@ -471,18 +475,30 @@ def _independent_from(g: Graph, k: int) -> Iterator[tuple[int, int]]:
         k += 1
 
 
+def _check_independent_walk(g: Graph) -> None:
+    # The guard on every walk over all independent sets of g.
+    if g.n > INDEPENDENT_ENUM_LIMIT:
+        raise InstanceTooLargeError(
+            f"n = {g.n} exceeds the independent-set enumeration limit"
+        )
+
+
 def independent_sets(g: Graph) -> Iterator[VertexSet]:
     """All independent sets, smallest first, lexicographic within a size.
 
-    Includes the empty set.  Intended for n up to about 20.
+    Includes the empty set.  Raises InstanceTooLargeError on the first
+    item past INDEPENDENT_ENUM_LIMIT vertices.
     """
+    _check_independent_walk(g)
     for t, _ in _independent_from(g, 0):
         yield labels_of(t)
 
 
 def max_independent_set(g: Graph) -> VertexSet:
     """A maximum independent set; ties break to the lexicographically
-    smallest member list.  Brute force, so desk scale only."""
+    smallest member list.  Brute force, so it raises InstanceTooLargeError
+    past INDEPENDENT_ENUM_LIMIT vertices."""
+    _check_independent_walk(g)
     for k in range(g.n, 0, -1):
         for t, _ in _independent_of_size(g, k):
             return labels_of(t)
@@ -490,6 +506,7 @@ def max_independent_set(g: Graph) -> VertexSet:
 
 
 def independence_number(g: Graph) -> int:
+    """The size of `max_independent_set`, under its guard."""
     return len(max_independent_set(g))
 
 

@@ -21,12 +21,12 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .decomposition import INDEPENDENT_ENUM_LIMIT
 from .errors import InstanceTooLargeError, InternalInvariantError, NoOddCycleError
 from .graphs import (
     Graph,
     VertexSet,
     _bfs,
+    _check_independent_walk,
     _independent_from,
     is_bipartite,
     labels_of,
@@ -105,10 +105,7 @@ def _fundamental_pairs(h: Graph) -> list[tuple[int, int]]:
     # independent-set stream order (smallest first, lexicographic within a
     # size).  The walk visits every independent set of h, so it is guarded
     # like the brute-force witness search.
-    if h.n > INDEPENDENT_ENUM_LIMIT:
-        raise InstanceTooLargeError(
-            f"n = {h.n} exceeds the independent-set enumeration limit"
-        )
+    _check_independent_walk(h)
     return [(t, nb) for t, nb in _independent_from(h, 1) if _is_fundamental(h, t, nb)]
 
 
@@ -220,24 +217,35 @@ def _cone_options(g: Graph, comp: int, bipartite: bool) -> list[tuple[int, int]]
     # neighbor outside N[I] can still dominate it, and on a bipartite
     # component one must.  On any component, it needs some neighbor
     # outside N[I], or it ends as an isolated vertex of comp - N[I].
+    #
+    # Each state is (todo, chosen, closed): the vertices still to decide,
+    # all above the decided ones and outside N[chosen] = closed.  The walk
+    # follows the "out" branch at once and stacks the "in" branch, so it
+    # meets the leaves in the order of a recursion that tries "out" first.
     adj = g.adj_bits
     options = []
-
-    def rec(todo: int, chosen: int, closed: int) -> None:
-        # `todo`: the vertices still to decide, all above the decided ones
-        # and outside N[chosen] = closed.
-        if not todo:
-            if closed == comp if bipartite else _all_components_odd(g, comp & ~closed):
-                options.append((chosen, closed & ~chosen))
-            return
-        bit = todo & -todo
-        todo ^= bit
-        nb = adj[bit.bit_length() - 1]
-        if nb & (todo if bipartite else ~closed):
-            rec(todo, chosen, closed)
-        rec(todo & ~nb, chosen | bit, closed | bit | nb)
-
-    rec(comp, 0, 0)
+    stack = [(comp, 0, 0)]
+    while stack:
+        todo, chosen, closed = stack.pop()
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            nb = adj[bit.bit_length() - 1]
+            if nb & (todo if bipartite else ~closed):
+                stack.append((todo & ~nb, chosen | bit, closed | bit | nb))
+            else:
+                todo &= ~nb
+                chosen |= bit
+                closed |= bit | nb
+        if bipartite:
+            if closed != comp:
+                continue
+        else:
+            # Fewer than three vertices left hold no odd cycle.
+            rest = comp & ~closed
+            if rest and (rest.bit_count() < 3 or not _all_components_odd(g, rest)):
+                continue
+        options.append((chosen, closed & ~chosen))
     return options
 
 
@@ -259,7 +267,7 @@ def _cone_constraints(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, int]]]
     apex_bit = 1 << apex
     adj = [0] + [a | apex_bit for a in g.adj_bits[1:]] + [g.full_mask]
     components = list(_bfs(g, g.full_mask))
-    coords = tuple(v for v in g.vertices if g.m > g.degree(v))
+    coords = tuple(v for v in g.vertices if g.m > g.adj_bits[v].bit_count())
     if not any(bipartite for _, _, bipartite in components):
         coords += (apex,)
     # One option per component; their masks are disjoint, so a choice's
@@ -336,48 +344,55 @@ class _SearchIndex(NamedTuple):
     # 0-based coordinate i and constraint number c.  Each T is independent,
     # so it is disjoint from its N = N(T).
     listed: tuple[bool, ...]  # x_i >= 0 is listed
-    balance: tuple[int, ...]  # |N & listed| - |T & listed|
-    last_n: tuple[int, ...]  # the last coordinate in N, or -1
-    plus: tuple[tuple[int, ...], ...]  # the c with i in N
-    minus: tuple[tuple[int, ...], ...]  # the c with i in T
-    # The bound each c puts on the next value e_i (see _points).
-    floor_at: tuple[tuple[int, ...], ...]  # e_i >= -slack: i is the last of N
-    spend: tuple[tuple[int, ...], ...]  # e_i <= slack + left: i outside T u N
-    spend2: tuple[tuple[int, ...], ...]  # 2 e_i <= slack + left: i in T before N ends
-    cap: tuple[tuple[int, ...], ...]  # e_i <= slack: i in T after all of N
+    balance: list[int]  # |N & listed| - |T & listed|
+    last_n: list[int]  # the last coordinate in N, or -1
+    plus: list[list[int]]  # the c with i in N
+    minus: list[list[int]]  # the c with i in T
+    # The bound each c puts on the next value e_i (see _search).
+    floor_at: list[list[int]]  # e_i >= -slack: i is the last of N
+    spend: list[list[int]]  # e_i <= slack + left: i outside T u N
+    spend2: list[list[int]]  # 2 e_i <= slack + left: i in T before N ends
+    cap: list[list[int]]  # e_i <= slack: i in T after all of N
 
 
 def _index_masks(n: int, listed: int, pairs: Iterable[tuple[int, int]]) -> _SearchIndex:
     # The index of the system on 1..n with the listed coordinates `listed`
     # and the set constraints (T, N) given as mask pairs, numbered in order.
-    lists: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(6)]
-    plus, minus, floor_at, spend, spend2, cap = lists
+    # One pass over the constraints, then one per coordinate, which files
+    # each constraint by its bit tests.
     balance = []
     last_n = []
+    floor_at: list[list[int]] = [[] for _ in range(n)]
+    rows = []
     for c, (t, nb) in enumerate(pairs):
         balance.append((nb & listed).bit_count() - (t & listed).bit_count())
-        last = max(nb.bit_length() - 1, 0)
-        last_n.append(last - 1)
+        last = nb.bit_length() - 1
+        last_n.append(last - 1 if nb else -1)
         if nb:
             floor_at[last - 1].append(c)
-        for per_i, rest in ((plus, nb), (spend, (1 << last) - 1 & ~(t | nb | 1))):
-            while rest:
-                low = rest & -rest
-                per_i[low.bit_length() - 2].append(c)
-                rest ^= low
-        rest = t
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 2
-            minus[i].append(c)
-            (spend2 if i + 1 < last else cap)[i].append(c)
-            rest ^= low
-    return _SearchIndex(
-        tuple(bool(listed >> v & 1) for v in range(1, n + 1)),
-        tuple(balance),
-        tuple(last_n),
-        *(tuple(map(tuple, per_i)) for per_i in lists),
-    )
+        rows.append((c, t, nb, last))
+    plus, minus, spend, spend2, cap = [], [], [], [], []
+    for v in range(1, n + 1):
+        bit = 1 << v
+        p, m, s, s2, cp = [], [], [], [], []
+        for c, t, nb, last in rows:
+            if t & bit:
+                m.append(c)
+                (s2 if v < last else cp).append(c)
+                # Only a system built by hand lists v in T and N alike.
+                if nb & bit:
+                    p.append(c)
+            elif nb & bit:
+                p.append(c)
+            elif v < last:
+                s.append(c)
+        plus.append(p)
+        minus.append(m)
+        spend.append(s)
+        spend2.append(s2)
+        cap.append(cp)
+    is_listed = tuple(bool(listed >> v & 1) for v in range(1, n + 1))
+    return _SearchIndex(is_listed, balance, last_n, plus, minus, floor_at, spend, spend2, cap)
 
 
 def _least_dilation(index: _SearchIndex) -> int:
@@ -428,6 +443,10 @@ def _search(index: _SearchIndex, n: int, q: int, strict: bool) -> Iterator[Latti
     # come, and slack >= 0 after that.  The value of the next coordinate
     # moves each bound one way, so the values that keep every bound form an
     # interval, and only those children are visited.
+    #
+    # The search runs in this one frame: level i keeps its value value[i],
+    # the top of its interval upper[i] and the budget left[i] it started
+    # with, and slack always includes the values of the levels above i.
     low = 1 if strict else 0
     mins = [low if is_listed else 0 for is_listed in index.listed]
     excess = UNIT_COORDINATE_SUM * q - sum(mins)
@@ -438,38 +457,65 @@ def _search(index: _SearchIndex, n: int, q: int, strict: bool) -> Iterator[Latti
         return
     plus, minus = index.plus, index.minus
     floor_at, spend, spend2, cap = index.floor_at, index.spend, index.spend2, index.cap
-    prefix = [0] * n
     get = slack.__getitem__
-
-    def walk(i: int, left: int) -> Iterator[LatticePoint]:
+    prefix = mins[:]
+    value = [0] * n
+    upper = [0] * n
+    left = [0] * n
+    left[0] = excess
+    last = n - 1
+    i = 0
+    while True:
+        # Enter level i: the interval of values its bounds allow.
+        budget = left[i]
         lo = 0
         if floor_at[i]:
             lo = max(lo, -min(map(get, floor_at[i])))
-        hi = left
+        hi = budget
         if spend[i]:
-            hi = min(hi, left + min(map(get, spend[i])))
+            hi = min(hi, budget + min(map(get, spend[i])))
         if spend2[i]:
-            hi = min(hi, (left + min(map(get, spend2[i]))) // 2)
+            hi = min(hi, (budget + min(map(get, spend2[i]))) // 2)
         if cap[i]:
             hi = min(hi, min(map(get, cap[i])))
-        if i == n - 1:
-            if lo <= left <= hi:
-                prefix[i] = mins[i] + left
+        if i == last:
+            if lo <= budget <= hi:
+                prefix[i] = mins[i] + budget
                 yield tuple(prefix)
-            return
-        for e in range(lo, hi + 1):
-            for c in plus[i]:
-                slack[c] += e
-            for c in minus[i]:
-                slack[c] -= e
-            prefix[i] = mins[i] + e
-            yield from walk(i + 1, left - e)
-            for c in plus[i]:
-                slack[c] -= e
-            for c in minus[i]:
-                slack[c] += e
-
-    yield from walk(0, excess)
+        elif lo <= hi:
+            if lo:
+                for c in plus[i]:
+                    slack[c] += lo
+                for c in minus[i]:
+                    slack[c] -= lo
+            value[i] = lo
+            upper[i] = hi
+            prefix[i] = mins[i] + lo
+            left[i + 1] = budget - lo
+            i += 1
+            continue
+        # Back up to the deepest level with a value left in its interval,
+        # undoing the slack of each level it leaves.
+        while True:
+            i -= 1
+            if i < 0:
+                return
+            e = value[i]
+            if e < upper[i]:
+                break
+            if e:
+                for c in plus[i]:
+                    slack[c] -= e
+                for c in minus[i]:
+                    slack[c] += e
+        for c in plus[i]:
+            slack[c] += 1
+        for c in minus[i]:
+            slack[c] -= 1
+        value[i] = e + 1
+        prefix[i] += 1
+        left[i + 1] -= 1
+        i += 1
 
 
 def lattice_points(system: HalfSpaceSystem, q: int) -> tuple[LatticePoint, ...]:

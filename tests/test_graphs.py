@@ -13,6 +13,7 @@ from conftest import graphs
 from reesreg import (
     Graph,
     GraphFormatError,
+    InstanceTooLargeError,
     bipartite_check,
     chordless_odd_cycles,
     complete,
@@ -35,6 +36,7 @@ from reesreg import (
     write_graph,
 )
 from reesreg.corpus import all_graphs, exhaustive_graphs, random_graphs
+from reesreg.decomposition import INDEPENDENT_ENUM_LIMIT
 from reesreg.graphs import (
     _independent_of_size,
     components_within,
@@ -461,6 +463,26 @@ def test_max_independent_set_tiebreak_and_size():
     assert max_independent_set(Graph.from_edges(3, [])) == (1, 2, 3)
     assert max_independent_set(Graph.from_edges(0, [])) == ()
     assert independence_number(paper_example()) == 3
+
+
+def test_independent_set_walks_are_guarded():
+    # Each of these walks every independent set, so past
+    # INDEPENDENT_ENUM_LIMIT vertices it raises at once; the generator
+    # raises on its first item.  At the limit they still run.
+    big = path(INDEPENDENT_ENUM_LIMIT + 1)
+    stream = independent_sets(big)
+    for first in (
+        lambda: max_independent_set(big),
+        lambda: independence_number(big),
+        lambda: next(stream),
+    ):
+        start = time.process_time()
+        with pytest.raises(InstanceTooLargeError, match="n = 21 exceeds"):
+            first()
+        assert time.process_time() - start < 0.1
+    at = path(INDEPENDENT_ENUM_LIMIT)
+    assert max_independent_set(at) == tuple(range(1, INDEPENDENT_ENUM_LIMIT, 2))
+    assert independence_number(at) == INDEPENDENT_ENUM_LIMIT // 2
 
 
 def test_chordless_odd_cycles_examples():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
@@ -20,6 +21,7 @@ from reesreg import (
     fundamental_independent_sets,
     halfspace_system,
     interior_lattice_points,
+    is_bipartite,
     is_fundamental_independent_set,
     is_regular_vertex,
     is_rees_normal,
@@ -232,21 +234,47 @@ def test_strictness_matches_interior_filter():
         assert list(interior_lattice_points(system, q)) == strict
 
 
+def _sparse_systems():
+    # The cones of seeded sparse G(n, c/n) with n = 5..7 (ambient 6..8),
+    # and the general systems of non-bipartite G(n, c/n) with n = 5..7,
+    # which are no cones.  A general system with an implicit equality is
+    # refused at its build and skipped.
+    rng = random.Random(17)
+    cones, general = [], []
+    while len(cones) < 16 or len(general) < 16:
+        n = rng.randint(5, 7)
+        g = random_graph(n, rng.uniform(1.0, 4.0) / n, seed=rng.randrange(1 << 30))
+        if len(cones) < 16 and g.m:
+            cones.append(halfspace_system(cone_graph(g)))
+        elif len(general) < 16 and not is_bipartite(g):
+            try:
+                general.append(halfspace_system(g))
+            except InternalInvariantError:
+                continue
+    assert {s.ambient_n for s in cones} == {6, 7, 8}
+    assert {s.ambient_n for s in general} == {5, 6, 7}
+    return cones + general
+
+
 def test_search_matches_composition_walk_small():
     # Every point and every interior point of the first dilations, against
-    # the walk that tests each composition of 2q.  The triangle's own system
-    # (not a cone) has no coordinate constraints.
-    systems = [
-        halfspace_system(cone_graph(g)) for g in exhaustive_graphs(4) if g.m
-    ] + [halfspace_system(complete(3))]
-    for system in systems:
-        for q in (1, 2, 3):
-            assert lattice_points(system, q) == lattice_points_by_composition(
-                system, q, strict=False
-            ), (system, q)
-            assert interior_lattice_points(system, q) == (
-                lattice_points_by_composition(system, q, strict=True)
-            ), (system, q)
+    # the walk that tests each composition of 2q: at q <= 3 on the cone of
+    # every graph up to 4 vertices and on the triangle's own system (not a
+    # cone, with no coordinate constraints), and at q <= 4 on seeded sparse
+    # systems, where the search backtracks through wide intervals.
+    systems = [(halfspace_system(cone_graph(g)), 3) for g in exhaustive_graphs(4) if g.m]
+    systems.append((halfspace_system(complete(3)), 3))
+    systems += [(system, 4) for system in _sparse_systems()]
+    found = [0, 0]
+    for system, q_max in systems:
+        for q in range(1, q_max + 1):
+            points = lattice_points(system, q)
+            interior = interior_lattice_points(system, q)
+            assert points == lattice_points_by_composition(system, q, strict=False), (system, q)
+            assert interior == lattice_points_by_composition(system, q, strict=True), (system, q)
+            found[0] += len(points)
+            found[1] += len(interior)
+    assert min(found) > 1000, found
 
 
 def test_cone_system_matches_general_build_small():
@@ -297,14 +325,21 @@ def _oracle_inputs():
         yield random_graph(n, c / n, seed=rng.randrange(1 << 30))
 
 
+# sha256 of (n, edges, q0, interior witness) over the oracle's graphs among
+# `_oracle_inputs`, one repr per line, so that a changed witness fails here
+# and not only in the benchmark digests.
+ORACLE_DIGEST = "4877fb604f1fbe4a43e8ce727805784038cda701fa5938de21e2a8c01126420f"
+
+
 def test_mask_native_oracle_matches_the_dilation_loop():
     # The oracle searches an index built from the cone's masks, in their
     # own order, and starts at the first dilation its precheck admits.  It
     # must find what the public search finds dilation by dilation on the
     # listed system, and its index must be the system's up to the
     # numbering of the set constraints (exactly the system's, numbered in
-    # the system's order).
+    # the system's order).  Its outputs are pinned by ORACLE_DIGEST.
     cells = set()
+    digest = hashlib.sha256()
     for g in _oracle_inputs():
         if g.m < 2 or not is_rees_normal(g):
             continue
@@ -314,6 +349,7 @@ def test_mask_native_oracle_matches_the_dilation_loop():
             if points:
                 break
         assert _q0(g) == OracleResult(q0=q, interior_witness=points[0], reg=g.n + 1 - q), g
+        digest.update(repr((g.n, g.edges, q, points[0])).encode() + b"\n")
         coords, pairs = _cone_constraints(g)
         index = _index_masks(g.n + 1, mask_of(coords), pairs)
         assert _renumbered(index) == _renumbered(system._search_index), g
@@ -323,6 +359,7 @@ def test_mask_native_oracle_matches_the_dilation_loop():
     # q0 takes at least four values at each n past the exhaustive range.
     for n in range(7, 12):
         assert len({q for m, q in cells if m == n}) >= 4, sorted(cells)
+    assert digest.hexdigest() == ORACLE_DIGEST
 
 
 def test_interior_frozen_for_cone_of_triangle():
