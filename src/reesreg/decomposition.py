@@ -29,7 +29,6 @@ from .graphs import (
     _check_independent_walk,
     components_within,
     labels_of,
-    mask_of,
     neighbor_mask,
 )
 from .matching import Matching, _first_max_independent, _matching, matching_number
@@ -108,12 +107,7 @@ def is_tutte_berge(g: Graph) -> bool:
     deficiency equation; the empty graph and perfect-matching graphs pass
     with the empty witness.
     """
-    return _tutte_berge(g, _matching(g)[1])
-
-
-def _tutte_berge(g: Graph, d_mask: int) -> bool:
-    """Is every component of D(G) a single vertex, with `d_mask` the mask
-    of D(G)?  That is, no edge has both ends in D."""
+    d_mask = _matching(g)[1]
     return not neighbor_mask(g, d_mask) & d_mask
 
 
@@ -171,19 +165,15 @@ def tutte_berge_witness(g: Graph) -> TutteBergeWitness | None:
     matching, and otherwise D of the component together with maximum
     independent sets of the bipartite components of its C part.
     """
-    return _witness(g, gallai_edmonds(g))
-
-
-def _witness(g: Graph, ge: GallaiEdmonds) -> TutteBergeWitness | None:
     # The decomposition restricts to each component, so D and C of a
     # component are D(G) and C(G) intersected with it.  Every maximum
-    # matching matches C(G) perfectly within itself, so ge.matching is
-    # maximum on the union of the bipartite parts, and no edge joins two
+    # matching matches C(G) perfectly within itself, so the stored matching
+    # is maximum on the union of the bipartite parts, and no edge joins two
     # parts: one walk finds all their first maximum independent sets.
-    if not ge.tutte_berge:
+    if not is_tutte_berge(g):
         return None
-    d_mask = mask_of(ge.d_set)
-    c_mask = mask_of(ge.c_set)
+    matching, d_mask = _matching(g)
+    c_mask = g.full_mask & ~d_mask & ~neighbor_mask(g, d_mask)
     picked = 0
     parts = 0
     for comp, _, bipartite in _bfs(g, g.full_mask):
@@ -192,8 +182,8 @@ def _witness(g: Graph, ge: GallaiEdmonds) -> TutteBergeWitness | None:
         elif comp & d_mask:
             picked |= comp & d_mask
             parts |= sum(part for part, _, b in _bfs(g, comp & c_mask) if b)
-    t_set = _first_max_independent(g, ge.matching, parts) | picked
-    return TutteBergeWitness(t_set=labels_of(t_set), deficiency=ge.deficiency)
+    t_set = _first_max_independent(g, matching, parts) | picked
+    return TutteBergeWitness(t_set=labels_of(t_set), deficiency=deficiency(g))
 
 
 __all__ = [

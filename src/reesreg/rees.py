@@ -46,7 +46,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
-from .decomposition import _tutte_berge
+from .decomposition import is_tutte_berge
 from .errors import InstanceTooLargeError
 from .graphs import (
     Graph,
@@ -57,7 +57,7 @@ from .graphs import (
     mask_of,
     neighbor_mask,
 )
-from .matching import _matching
+from .matching import matching_number
 
 # Induced paths the exact odd cycle condition search may grow.
 OCC_STEP_LIMIT = 1_000_000
@@ -270,21 +270,14 @@ def is_rees_normal(g: Graph) -> bool:
 def regularity(g: Graph) -> RegularityResult:
     """Closed-form regularity of the Rees algebra of the edge ideal of g.
 
-    mat(G) and the Tutte-Berge test are read off the graph's one blossom
-    run: the size of its matching, and whether an edge has both ends in
-    D(G).
+    mat(G) and the Tutte-Berge test read the graph's one stored blossom
+    run; normality is asked only of a graph with two edges or more.
     """
-    matching, d_mask = _matching(g)
-    return _closed_form(
-        g, matching.size, _tutte_berge(g, d_mask), g.m >= 2 and is_rees_normal(g)
-    )
-
-
-def _closed_form(g: Graph, mat: int, tb: bool, normal: bool) -> RegularityResult:
-    # The status rule.  `normal` is read only when g has two edges or more.
+    mat = matching_number(g)
+    tb = is_tutte_berge(g)
     if g.m < 2:
         return RegularityResult(RegularityStatus.TOO_FEW_EDGES, mat, tb, None)
-    if not normal:
+    if not is_rees_normal(g):
         return RegularityResult(RegularityStatus.NOT_NORMAL, mat, tb, None)
     return RegularityResult(
         RegularityStatus.COMPUTED, mat, tb, mat if tb else mat + 1

@@ -11,16 +11,11 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 
-from .decomposition import _witness, gallai_edmonds
+from .decomposition import gallai_edmonds, tutte_berge_witness
 from .graphs import Graph, VertexSet, is_bipartite
-from .matching import _first_max_independent
+from .matching import has_perfect_matching, is_factor_critical, is_konig
 from .polytope import OracleResult, _q0
-from .rees import (
-    RegularityResult,
-    RegularityStatus,
-    _closed_form,
-    satisfies_odd_cycle_condition,
-)
+from .rees import RegularityResult, RegularityStatus, regularity
 
 
 @dataclass(frozen=True)
@@ -150,20 +145,20 @@ def build_report(
     timings["decomposition"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    # The Konig test on the matching GE was read from.
-    konig = _first_max_independent(g, ge.matching, g.full_mask) is not None
+    konig = is_konig(g)
     timings["matching"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    # The odd cycle condition implies normality (see rees.is_rees_normal).
-    occ = satisfies_odd_cycle_condition(g)
-    reg = _closed_form(g, ge.matching.size, ge.tutte_berge, occ)
+    reg = regularity(g)
+    # The odd cycle condition is normality (see rees.is_rees_normal), which
+    # the closed form tests on two edges or more; fewer edges hold no cycle.
+    occ = reg.status is not RegularityStatus.NOT_NORMAL
     timings["regularity"] = (time.perf_counter() - t0) * 1000.0
 
     tb_witness = None
     if with_witness:
         t0 = time.perf_counter()
-        w = _witness(g, ge)
+        w = tutte_berge_witness(g)
         tb_witness = w.t_set if w is not None else None
         timings["witness"] = (time.perf_counter() - t0) * 1000.0
 
@@ -180,8 +175,8 @@ def build_report(
         mat=reg.mat,
         deficiency=ge.deficiency,
         bipartite=is_bipartite(g),
-        perfect_matching=not ge.d_set,
-        factor_critical=len(ge.d_set) == g.n and len(ge.d_components) == 1,
+        perfect_matching=has_perfect_matching(g),
+        factor_critical=is_factor_critical(g),
         konig=konig,
         tutte_berge=reg.tutte_berge,
         ge_d=ge.d_set,

@@ -104,8 +104,8 @@ def test_factor_critical():
 def test_long_path_and_cycle_match_in_linear_time():
     # A blossom search must cost its own tree, not O(n): at this size a
     # search that touches every vertex takes seconds of CPU.  The path
-    # needs no search at all; the cycle's one failed search (twice, once
-    # for the matching and once for D) contracts a blossom spanning it.
+    # needs no search at all; the cycle's one failed search, which gives
+    # both the matching and D, contracts a blossom spanning it.
     p, c = path(20_000), cycle(20_001)
     start = time.process_time()
     assert max_matching(p).size == 10_000

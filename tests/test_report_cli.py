@@ -25,6 +25,7 @@ from reesreg import (
     path,
     random_graph,
     regularity,
+    tutte_berge_witness,
     write_graph,
 )
 from reesreg import matching, polytope, rees
@@ -36,7 +37,6 @@ from reesreg.corpus import (
     exhaustive_graphs,
     random_graphs,
 )
-from reesreg.matching import _matching
 from reesreg.rees import satisfies_odd_cycle_condition
 
 
@@ -182,10 +182,11 @@ def test_cli_regularity_json(tmp_path, capsys):
 
 
 def test_cli_regularity_skips_report_only_stages(tmp_path, monkeypatch, capsys):
-    def no_konig(g, matching, mask):
+    def no_konig(*args):
         raise AssertionError("regularity must not run the Konig test")
 
-    monkeypatch.setattr("reesreg.report._first_max_independent", no_konig)
+    _patch_every_binding(monkeypatch, "reesreg.matching", "is_konig", no_konig)
+    _patch_every_binding(monkeypatch, "reesreg.matching", "_first_max_independent", no_konig)
     target = _write(tmp_path, "c5.txt", cycle(5))
     assert main(["regularity", target, "--oracle"]) == 0
     assert capsys.readouterr().out == (
@@ -241,28 +242,36 @@ def test_cli_classify_runs_no_independent_set_search(tmp_path, monkeypatch, caps
 
 
 def test_regularity_builds_no_decomposition(monkeypatch):
-    # The closed form reads mat(G) and the Tutte-Berge test off the stored
-    # blossom run; only the report builds the full decomposition.
-    expected = {g: build_report(g).regularity for g in exhaustive_graphs(5)}
+    # The closed form and the witness read mat(G), D(G) and the Tutte-Berge
+    # test off the stored blossom run; only the report and `ged` build the
+    # full decomposition.
+    expected = {g: build_report(g, with_witness=True) for g in exhaustive_graphs(5)}
 
     def no_decomposition(g):
-        raise AssertionError("regularity must not build the decomposition")
+        raise AssertionError("regularity and the witness must not build the decomposition")
 
     _patch_every_binding(monkeypatch, "reesreg.decomposition", "gallai_edmonds", no_decomposition)
     for g, want in expected.items():
-        assert regularity(Graph(g.n, g.edges)) == want, g
+        fresh = Graph(g.n, g.edges)
+        assert regularity(fresh) == want.regularity, g
+        w = tutte_berge_witness(fresh)
+        assert (w.t_set if w is not None else None) == want.tb_witness, g
+        if w is not None:
+            assert w.deficiency == want.deficiency, g
 
 
 def test_report_runs_the_blossom_once(monkeypatch):
-    # Every blossom run goes through `_matching`, `max_matching`'s included,
-    # since it looks `_matching` up in its module when called.
+    # The report asks the matching, D(G), mat(G), the Tutte-Berge test, the
+    # Konig test, the witness and the two matching properties of their
+    # owners; all of them read one stored blossom run.
     calls = []
 
     def counted(g):
         calls.append(g)
-        return _matching(g)
+        return run_blossom(g)
 
-    _patch_every_binding(monkeypatch, "reesreg.matching", "_matching", counted)
+    run_blossom = matching._blossom
+    _patch_every_binding(monkeypatch, "reesreg.matching", "_blossom", counted)
     for g in (paper_example(), random_graph(30, 0.15, 1)):
         calls.clear()
         r = build_report(g, with_witness=True)
