@@ -35,7 +35,8 @@ EXIT_INTERNAL = 3
 def _read_graph(spec: str) -> Graph:
     if spec == "-":
         return parse_graph(sys.stdin.read())
-    return parse_graph(Path(spec).read_text(encoding="utf-8"))
+    with open(spec, encoding="utf-8") as f:
+        return parse_graph(f.read())
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:

@@ -54,11 +54,6 @@ class GallaiEdmonds:
         """|V| - 2 mat(G), which equals c(D) - |A|."""
         return len(self.d_components) - len(self.a_set)
 
-    @property
-    def tutte_berge(self) -> bool:
-        """Every component of D is a single vertex."""
-        return all(len(c) == 1 for c in self.d_components)
-
 
 @dataclass(frozen=True)
 class TutteBergeWitness:

@@ -134,54 +134,60 @@ def parse_graph(text: str) -> Graph:
 
     Lines starting with '#' and blank lines are ignored.  The first data line
     is "n m"; exactly m edge lines "u v" follow, in any order, either endpoint
-    first.  One pass reports the first bad line, loop or out-of-range label;
-    a repeat is reported only if every line passes those checks.  The Graph
-    constructor checks the result.
+    first.  One pass splits each line once.  A bad header is reported at
+    once; then a wrong edge-line count; then the first bad line, loop or
+    out-of-range label; and a repeat only if every line passes those checks.
+    The Graph constructor checks the result.
     """
-    data = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        data.append((lineno, line))
-    if not data:
-        raise GraphFormatError("no header line 'n m' found")
-    lineno, header = data[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise GraphFormatError(f"line {lineno}: header must be 'n m', got {header!r}")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise GraphFormatError(f"line {lineno}: header must be two integers") from None
-    if n < 0 or m < 0:
-        raise GraphFormatError(f"line {lineno}: n and m must be >= 0")
-    body = data[1:]
-    if len(body) != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(body)}")
+    n = m = -1
+    found = 0
+    fault = None
     # An insertion-ordered dict, not a set: a file written in canonical
     # order then sorts in linear time.
     edges: dict[tuple[int, int], None] = {}
     repeat = None
-    for lineno, line in body:
+    for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
+        if not parts or parts[0][0] == "#":
+            continue
+        if n < 0:
+            if len(parts) != 2:
+                raise GraphFormatError(
+                    f"line {lineno}: header must be 'n m', got {line.strip()!r}"
+                )
+            try:
+                n, m = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: header must be two integers") from None
+            if n < 0 or m < 0:
+                raise GraphFormatError(f"line {lineno}: n and m must be >= 0")
+            continue
+        found += 1
+        if fault is not None:
+            continue
         if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: edge line must be 'u v', got {line!r}")
+            fault = f"line {lineno}: edge line must be 'u v', got {line.strip()!r}"
+            continue
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphFormatError(f"line {lineno}: edge line must be two integers") from None
+            fault = f"line {lineno}: edge line must be two integers"
+            continue
         if u == v:
-            raise GraphFormatError(f"line {lineno}: loop at vertex {u}")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise GraphFormatError(f"line {lineno}: edge {u} {v} out of range 1..{n}")
-        e = (u, v) if u < v else (v, u)
-        if repeat is None and e in edges:
-            repeat = lineno, e
-        edges[e] = None
-    if repeat is not None:
-        lineno, (u, v) = repeat
-        raise GraphFormatError(f"line {lineno}: duplicate edge {u} {v}")
+            fault = f"line {lineno}: loop at vertex {u}"
+        elif not (1 <= u <= n and 1 <= v <= n):
+            fault = f"line {lineno}: edge {u} {v} out of range 1..{n}"
+        else:
+            e = (u, v) if u < v else (v, u)
+            if repeat is None and e in edges:
+                repeat = f"line {lineno}: duplicate edge {e[0]} {e[1]}"
+            edges[e] = None
+    if n < 0:
+        raise GraphFormatError("no header line 'n m' found")
+    if found != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {found}")
+    if fault is not None or repeat is not None:
+        raise GraphFormatError(fault or repeat)
     return Graph(n, tuple(sorted(edges)))
 
 

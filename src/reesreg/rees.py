@@ -8,8 +8,8 @@ edges, the Castelnuovo-Mumford regularity is mat(G) when G is Tutte-Berge
 and mat(G) + 1 otherwise.
 
 No polynomial test of the odd cycle condition is known to us.
-`satisfies_odd_cycle_condition` decides it in three stages, each sound on
-its own:
+`satisfies_odd_cycle_condition` decides it in three stages, with a second
+refutation (2b) at the start of the third, each sound on its own:
 
 1. A bipartite graph has no odd cycle, so it passes.
 2. Refute first.  The BFS layers of the first non-bipartite component close
@@ -38,6 +38,17 @@ its own:
      an odd cycle left after an extension lies inside it.
    The search is still exponential in the worst case, so it raises
    InstanceTooLargeError after OCC_STEP_LIMIT induced paths.
+
+2b. Refute from the far side, once, before stage 3 grows its first path.
+   At the first start s that stage 3 does not skip (s lies in a
+   non-bipartite block, and G[{v > s} - N[s]] has an odd cycle), the BFS
+   of the odd part of G[{v > s} - N[s]] closes an odd walk W' in its first
+   component, and the graph fails when G[K - N[W']] is not bipartite.
+   This is stage 2's argument again: W' lies in K and holds an odd cycle
+   C', N[C'] lies in N[W'], and every odd cycle lies in K.  A violation
+   that stage 3 would find only after many paths often shows here at
+   once.  A passing graph is never refuted, so its answer and the paths
+   its search grew do not change.
 """
 
 from __future__ import annotations
@@ -86,7 +97,7 @@ class RegularityResult:
 def satisfies_odd_cycle_condition(g: Graph) -> bool:
     """Every two vertex-disjoint odd cycles are joined by an edge.
 
-    Decided in the three stages of the module docstring.  Raises
+    Decided in the stages of the module docstring.  Raises
     InstanceTooLargeError when the exact search grows more than
     OCC_STEP_LIMIT induced paths.
 
@@ -113,7 +124,7 @@ def _over_budget() -> InstanceTooLargeError:
 
 
 def _odd_cycle_condition(g: Graph) -> tuple[bool, int]:
-    # The three stages: the answer and the induced paths stage 3 grew.
+    # The stages: the answer and the induced paths stage 3 grew.
     full = g.full_mask
     odd = next(((c, lay) for c, lay, bipartite in _bfs(g, full) if not bipartite), None)
     if odd is None:
@@ -182,6 +193,16 @@ def _blocks(g: Graph, mask: int) -> Iterator[int]:
                 yield block
 
 
+def _far_side_refutes(g: Graph, comp: int, live: int) -> bool:
+    """Stage 2b: does the first component of g[live] close an odd walk W
+    with g[comp - N[W]] non-bipartite?  `live` must be a union of
+    non-bipartite components inside `comp`, the component that holds every
+    odd cycle of g."""
+    layers = next(_bfs(g, live))[1]
+    walk = mask_of(_odd_walk(g, layers))
+    return not mask_is_bipartite(g, comp & ~walk & ~neighbor_mask(g, walk))
+
+
 def _chordless_search(g: Graph, comp: int) -> tuple[bool, int]:
     """Stage 3: is there no chordless odd cycle C with least vertex s such
     that g[{v > s} - N[C]] has an odd cycle?  Every odd cycle of g must lie
@@ -192,6 +213,7 @@ def _chordless_search(g: Graph, comp: int) -> tuple[bool, int]:
     # is built at the first start that survives the cheaper tests, which on
     # a dense graph is often none.
     in_block = None
+    far_tried = False
 
     def shrink(live: int, w: int) -> int:
         # The odd part of g[far - N[w]], where `live` is that of g[far].
@@ -220,6 +242,11 @@ def _chordless_search(g: Graph, comp: int) -> tuple[bool, int]:
         inside = in_block[s] & above
         if not inside:
             continue
+        if not far_tried:
+            # Stage 2b, once, before the first path grows.
+            far_tried = True
+            if _far_side_refutes(g, comp, live):
+                return False, 0
         # Induced paths s, v1, ..., last, each as (last, v1, path mask,
         # closed neighborhood of the vertices strictly between s and last,
         # vertex count, odd part of g[{v > s} - N[path]]).

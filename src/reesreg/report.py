@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .decomposition import gallai_edmonds, tutte_berge_witness
 from .graphs import Graph, VertexSet, is_bipartite
@@ -113,13 +113,22 @@ class ClassificationReport:
 
 
 def regularity_dict(reg: RegularityResult) -> dict:
-    return {**asdict(reg), "status": reg.status.value}
+    return {
+        "status": reg.status.value,
+        "mat": reg.mat,
+        "tutte_berge": reg.tutte_berge,
+        "reg": reg.reg,
+    }
 
 
 def oracle_dict(oracle: OracleResult | None) -> dict | None:
     if oracle is None:
         return None
-    return {**asdict(oracle), "interior_witness": list(oracle.interior_witness)}
+    return {
+        "q0": oracle.q0,
+        "interior_witness": list(oracle.interior_witness),
+        "reg": oracle.reg,
+    }
 
 
 def run_oracle(g: Graph, reg: RegularityResult) -> tuple[OracleResult | None, str | None]:

@@ -186,6 +186,10 @@ def test_parse_errors_mention_problem(text, fragment):
         ("3 3\n1 2\n2 1\n1 1\n", "line 4: loop at vertex 1"),
         ("4 3\n1 2\n3 4\n2 1\n", "line 4: duplicate edge 1 2"),
         ("3 3\n1 2\n2 1\n1 9\n", "line 4: edge 1 9 out of range 1..3"),
+        # The edge-line count is checked before any edge line is read, and
+        # the first faulty edge line wins over a later one.
+        ("3 2\n1 x\n", "expected 2 edge lines, found 1"),
+        ("3 2\n1 1\n1 x\n", "line 2: loop at vertex 1"),
     ],
 )
 def test_parse_reports_the_first_fault_in_file_order(text, message):

@@ -329,6 +329,40 @@ def test_odd_cycle_condition_hard_inputs_within_a_small_budget(monkeypatch):
         assert satisfies_odd_cycle_condition(g) is expected, g.n
 
 
+def test_odd_cycle_condition_refutes_a_late_violation_before_a_path_grows(monkeypatch):
+    # Stage 3 alone grows 228,921 induced paths here before it closes a
+    # violating cycle; stage 2b refutes the graph at its first start.
+    monkeypatch.setattr(rees, "OCC_STEP_LIMIT", 1_000)
+    g = random_graph(125, 2.276953395757811 / 125, seed=304711988)
+    assert not satisfies_odd_cycle_condition(g)
+    assert g._facts["occ"] == (False, 0)
+
+
+def test_far_side_refutation_keeps_every_passing_search(monkeypatch):
+    # Stage 2b only refutes.  Without it every graph keeps its answer, and
+    # a passing graph keeps the induced paths its search grew, which the
+    # step budget replays.
+    rng = random.Random(19)
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    for i in range(800):
+        n = rng.randint(7, 40)
+        c = rng.uniform(2.2, 2.4) if i % 2 else rng.uniform(1.0, 4.0)
+        graphs.append(random_graph(n, min(1.0, c / n), seed=rng.randrange(1 << 30)))
+    found = [rees._odd_cycle_condition(g) for g in graphs]
+    monkeypatch.setattr(rees, "_far_side_refutes", lambda g, comp, live: False)
+    refuted = 0
+    for g, (answer, steps) in zip(graphs, found):
+        without = rees._odd_cycle_condition(g)
+        if answer:
+            assert without == (True, steps), g
+        else:
+            assert without[0] is False, g
+            refuted += without[1] != steps
+    # The stream holds violations that stage 2b refutes before stage 3
+    # finds them.
+    assert refuted > 0
+
+
 def test_odd_cycle_condition_step_budget(monkeypatch, tmp_path, capsys):
     # Passes the first two stages and grows 10 induced paths in the third.
     g = random_graph(14, 0.2, seed=138)
