@@ -3,13 +3,22 @@
 Commands: classify, gen, regularity, ged, polytope, corpus.  Exit codes:
 0 success, 1 corpus assertion failure, 2 usage or input errors, 3 internal
 invariant failures.
+
+`main` hands the words after a command's name straight to that command's
+own parser, so a well-formed call is parsed once, not twice (the top-level
+parser would only pass them on to the same sub-parser).  An empty argv,
+an unknown first word (an option, a misspelling, a prefix) and words the
+command's parser leaves over go through the top-level parser instead:
+that is the one that prints `usage: reesreg ...` with the command list
+and reports `unrecognized arguments`, so help and usage errors print the
+same bytes as a full parse would.  Every `--json` output is
+`report.write_json`, byte for byte `json.dumps(..., indent=2)`.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -24,7 +33,7 @@ from .errors import (
 from .graphs import GENERATOR_FAMILIES, Graph, generate, parse_graph, write_graph
 from .polytope import _enumerable_cone_system, interior_lattice_points, lattice_points
 from .rees import regularity
-from .report import build_report, oracle_dict, regularity_dict, run_oracle
+from .report import build_report, oracle_dict, regularity_dict, run_oracle, write_json
 
 EXIT_OK = 0
 EXIT_CORPUS_FAILURE = 1
@@ -105,7 +114,7 @@ def _cmd_regularity(args: argparse.Namespace) -> int:
         if args.oracle:
             out["oracle"] = oracle_dict(oracle)
             out["oracle_note"] = note
-        print(json.dumps(out, indent=2))
+        print(write_json(out))
         return EXIT_OK
     print(f"status       {reg.status.value}")
     print(f"mat          {reg.mat}")
@@ -126,14 +135,13 @@ def _cmd_ged(args: argparse.Namespace) -> int:
     ge = gallai_edmonds(g)
     if args.json:
         print(
-            json.dumps(
+            write_json(
                 {
                     "d": list(ge.d_set),
                     "a": list(ge.a_set),
                     "c": list(ge.c_set),
                     "d_components": [list(c) for c in ge.d_components],
-                },
-                indent=2,
+                }
             )
         )
         return EXIT_OK
@@ -153,14 +161,13 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
         points = lattice_points(system, args.q)
     if args.json:
         print(
-            json.dumps(
+            write_json(
                 {
                     "q": args.q,
                     "interior": args.interior,
                     "ambient_n": system.ambient_n,
                     "points": [list(p) for p in points],
-                },
-                indent=2,
+                }
             )
         )
         return EXIT_OK
@@ -178,7 +185,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     if args.json:
-        print(json.dumps(summary.to_dict(), indent=2))
+        print(write_json(summary.to_dict()))
     else:
         print(f"graphs tested      {summary.graphs_tested}")
         print(f"normal             {summary.normal_count}")
@@ -191,10 +198,15 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK if summary.ok else EXIT_CORPUS_FAILURE
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     # Built once per process and shared by every `main` call: parsing leaves
-    # the parser unchanged, so callers must not add to it either.
+    # the parsers unchanged, so callers must not add to them either.  The
+    # dict maps each command name to its own parser.
     parser = argparse.ArgumentParser(
         prog="reesreg",
         description=(
@@ -242,13 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_corpus)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = rest = None
+        if argv and argv[0] in commands:
+            args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if args is None or rest:
+            # The top-level parser prints help and usage errors; see the module docstring.
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

@@ -2,12 +2,14 @@
 
 The JSON rendering uses fixed snake_case keys and round-trips exactly;
 `timings` (stage wall times in milliseconds) is excluded from equality so
-reports for the same graph and options compare equal across runs.
+reports for the same graph and options compare equal across runs.  Every
+`--json` output of the package goes through `write_json`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -66,7 +68,7 @@ class ClassificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return write_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassificationReport":
@@ -110,6 +112,71 @@ class ClassificationReport:
     @classmethod
     def from_json(cls, text: str) -> "ClassificationReport":
         return cls.from_dict(json.loads(text))
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def write_json(obj: object) -> str:
+    """Exactly `json.dumps(obj, indent=2)` for dicts with str keys, lists,
+    str, int, float, bool and None; TypeError on any other type.
+
+    `json.dumps` encodes `indent` output in pure Python, one generator per
+    container; this writer appends to one list and renders a list of
+    plain ints with a single join."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(o: object, newline: str, out: list[str]) -> None:
+    t = type(o)
+    if t is str:
+        out.append(_escape(o))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif t is bool:
+        out.append("true" if o else "false")
+    elif o is None:
+        out.append("null")
+    elif t is float:
+        if o != o:
+            out.append("NaN")
+        elif o == math.inf:
+            out.append("Infinity")
+        elif o == -math.inf:
+            out.append("-Infinity")
+        else:
+            out.append(float.__repr__(o))
+    elif t is list:
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if {*map(type, o)} == {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline + "]")
+            return
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif t is dict:
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, x in o.items():
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out.append(sep + _escape(k) + ": ")
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def regularity_dict(reg: RegularityResult) -> dict:

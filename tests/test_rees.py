@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
+from itertools import islice
 
 import pytest
 
@@ -404,3 +405,32 @@ def test_odd_cycle_condition_budget_replays_on_a_stored_answer(monkeypatch):
     monkeypatch.setattr(rees, "OCC_STEP_LIMIT", 10)
     assert is_rees_normal(g)
     assert len(runs) == 2
+
+
+def test_odd_cycle_condition_matches_networkx_chordless_cycles():
+    # Two vertex-disjoint odd cycles with no edge between them contain two
+    # chordless odd cycles with the same property, so the condition fails
+    # exactly when two of networkx's chordless odd cycles C, C' have C'
+    # outside N[C].  A graph with more than `cap` of them is skipped.
+    nx = pytest.importorskip("networkx")
+    cap = 400
+    rng = random.Random(20)
+    answers = []
+    for _ in range(300):
+        n = rng.randint(12, 40)
+        c = rng.choice([1.5, 2.3, 2.3, 3.0, 4.0])
+        g = random_graph(n, c / n, seed=rng.randrange(1 << 30))
+        ref = nx.Graph()
+        ref.add_nodes_from(g.vertices)
+        ref.add_edges_from(g.edges)
+        odd = list(islice((set(cyc) for cyc in nx.chordless_cycles(ref) if len(cyc) % 2), cap + 1))
+        if len(odd) > cap:
+            continue
+        closed = [cyc.union(*(ref[v] for v in cyc)) for cyc in odd]
+        violated = any(
+            closed[i].isdisjoint(odd[j]) for i in range(len(odd)) for j in range(i + 1, len(odd))
+        )
+        assert satisfies_odd_cycle_condition(g) == (not violated), g
+        answers.append(not violated)
+    assert len(answers) >= 250
+    assert set(answers) == {True, False}

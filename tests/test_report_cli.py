@@ -10,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reesreg import (
     ClassificationReport,
@@ -28,7 +30,7 @@ from reesreg import (
     tutte_berge_witness,
     write_graph,
 )
-from reesreg import matching, polytope, rees
+from reesreg import cli, matching, polytope, rees
 from reesreg.cli import main
 from reesreg.corpus import (
     EXHAUSTIVE_N_LIMIT,
@@ -38,6 +40,7 @@ from reesreg.corpus import (
     random_graphs,
 )
 from reesreg.rees import satisfies_odd_cycle_condition
+from reesreg.report import write_json
 
 
 def test_report_example_frozen_values():
@@ -546,6 +549,123 @@ def test_cli_builds_its_parser_once(monkeypatch, capsys):
     assert "classify" in out
     # At most once: an earlier test in this process may already have built it.
     assert built.count("reesreg") <= 1
+
+
+_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.characters(categories=["Cs"])
+    | st.characters(max_codepoint=0x1F),
+    max_size=8,
+)
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | _TEXT,
+    lambda children: st.lists(children, max_size=6)
+    | st.lists(st.integers() | st.booleans())
+    | st.dictionaries(_TEXT, children, max_size=6),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200)
+@given(_JSON_VALUES)
+def test_write_json_is_json_dumps_indent_2(x):
+    assert write_json(x) == json.dumps(x, indent=2)
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        ((1, 2), "Object of type tuple is not JSON serializable"),
+        ({"a": [{1, 2}]}, "Object of type set is not JSON serializable"),
+        ({1: 2}, "keys must be str, not int"),
+        ([{"a": 1}, {None: 1}], "keys must be str, not NoneType"),
+    ],
+)
+def test_write_json_refuses_other_types(x, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        write_json(x)
+
+
+_DISPATCH_TABLE = [
+    ["classify", "{g}"],
+    ["gen", "cycle", "3"],
+    ["regularity", "{g}", "--oracle"],
+    ["ged", "{g}"],
+    ["polytope", "{g}", "--q", "1"],
+    ["corpus", "--max-n", "3"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate"],
+    ["clas"],
+    ["--json", "classify", "{g}"],
+    ["classify", "--", "{g}"],
+    ["classify", "{g}", "--bogus"],
+    ["classify", "{g}", "extra"],
+    ["classify", "-h"],
+    ["polytope", "{g}", "--q", "x"],
+    ["polytope", "{g}"],
+    ["classify", "{g}", "--", "--json"],
+    ["--", "classify", "{g}"],
+    ["classify", "{g}", "-h"],
+    ["gen", "cycle", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_TABLE, ids=" ".join)
+def test_cli_dispatch_matches_the_full_parse(argv, tmp_path, monkeypatch, capsys):
+    # With an empty command table every argv goes through the top-level
+    # parser, as it did before `main` looked the command up itself.
+    target = _write(tmp_path, "g.txt", paper_example())
+    argv = [a.format(g=target) for a in argv]
+    code = main(argv)
+    dispatched = (code, *capsys.readouterr())
+    parser, _ = cli._parsers()
+    monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
+    code = main(argv)
+    assert dispatched == (code, *capsys.readouterr())
+
+
+def test_cli_well_formed_call_skips_the_top_level_parser(monkeypatch, capsys):
+    parser, _ = cli._parsers()
+
+    def no_parse(*args):
+        raise AssertionError("a well-formed call is parsed once, by its command")
+
+    monkeypatch.setattr(parser, "parse_args", no_parse)
+    assert main(["gen", "cycle", "3"]) == 0
+    assert capsys.readouterr().out == "3 3\n1 2\n1 3\n2 3\n"
+
+
+@pytest.mark.parametrize("argv", [["gen", "cycle", "3"], ["gen", "cycle", "3", "--bogus"], []])
+def test_cli_main_reads_sys_argv(argv, monkeypatch, capsys):
+    expected = (main(argv), *capsys.readouterr())
+    monkeypatch.setattr(sys, "argv", ["reesreg", *argv])
+    assert (main(), *capsys.readouterr()) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "{g}", "--json", "--witness", "--oracle"],
+        ["regularity", "{g}", "--json", "--oracle"],
+        ["ged", "{g}", "--json"],
+        ["polytope", "{g}", "--q", "2", "--json"],
+        ["corpus", "--max-n", "4", "--json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_json_is_json_dumps_indent_2(argv, tmp_path, capsys):
+    target = _write(tmp_path, "g.txt", paper_example())
+    assert main([a.format(g=target) for a in argv]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_module_entry_point():
