@@ -25,14 +25,12 @@ from .errors import (
 from .graphs import (
     Graph,
     bipartite_check,
-    chordless_odd_cycles,
     complete,
     complete_bipartite,
     connected_components,
     cycle,
     disjoint_union,
     generate,
-    independence_number,
     independent_sets,
     induced_subgraph,
     is_bipartite,
@@ -50,7 +48,6 @@ from .matching import (
     is_factor_critical,
     is_konig,
     matching_number,
-    matching_number_bruteforce,
     max_matching,
 )
 from .polytope import (

@@ -198,10 +198,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK if summary.ok else EXIT_CORPUS_FAILURE
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
-
-
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     # Built once per process and shared by every `main` call: parsing leaves

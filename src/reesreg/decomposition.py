@@ -19,7 +19,7 @@ vertex, that is, when no edge has both ends in D(G).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import (
     INDEPENDENT_ENUM_LIMIT,
@@ -31,23 +31,21 @@ from .graphs import (
     labels_of,
     neighbor_mask,
 )
-from .matching import Matching, _first_max_independent, _matching, matching_number
+from .matching import _first_max_independent, _matching, matching_number
 
 
 @dataclass(frozen=True)
 class GallaiEdmonds:
-    """The three-part decomposition, plus the components of D and the
-    maximum matching it was read from.
+    """The three-part decomposition, plus the components of D.
 
     All label tuples are sorted; `d_components` is ordered by smallest
-    member.  Equality and repr ignore `matching`.
+    member.
     """
 
     d_set: VertexSet
     a_set: VertexSet
     c_set: VertexSet
     d_components: tuple[VertexSet, ...]
-    matching: Matching = field(compare=False, repr=False)
 
     @property
     def deficiency(self) -> int:
@@ -70,7 +68,7 @@ def deficiency(g: Graph) -> int:
 
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:
     """D/A/C from the failed searches of one blossom run."""
-    matching, d_mask = _matching(g)
+    d_mask = _matching(g)[1]
     a_mask = neighbor_mask(g, d_mask) & ~d_mask
     c_mask = g.full_mask & ~d_mask & ~a_mask
     # A vertex of D with no neighbor in D is a component by itself; only
@@ -91,7 +89,6 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
         a_set=labels_of(a_mask),
         c_set=labels_of(c_mask),
         d_components=tuple(sorted(comps)),
-        matching=matching,
     )
 
 

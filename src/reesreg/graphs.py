@@ -270,7 +270,10 @@ def paper_example() -> Graph:
     )
 
 
-def _same(g: Graph) -> Graph:
+def _graph(g: object) -> Graph:
+    # The one family whose parameters are graphs; the CLI reads them from files.
+    if not isinstance(g, Graph):
+        raise ValueError(f"disjoint-union takes two Graph objects, got {g!r}")
     return g
 
 
@@ -281,7 +284,7 @@ _GENERATORS = {
     "complete": (complete, (("k", int),)),
     "complete-bipartite": (complete_bipartite, (("a", int), ("b", int))),
     "random": (random_graph, (("n", int), ("p", float), ("seed", int))),
-    "disjoint-union": (disjoint_union, (("g1", _same), ("g2", _same))),
+    "disjoint-union": (disjoint_union, (("g1", _graph), ("g2", _graph))),
     "paper-example": (paper_example, ()),
 }
 
@@ -511,11 +514,6 @@ def max_independent_set(g: Graph) -> VertexSet:
     return ()
 
 
-def independence_number(g: Graph) -> int:
-    """The size of `max_independent_set`, under its guard."""
-    return len(max_independent_set(g))
-
-
 # ---------------------------------------------------------------------------
 # chordless cycles
 
@@ -551,9 +549,3 @@ def iter_chordless_odd_cycles(g: Graph) -> Iterator[Cycle]:
                             yield tuple(path_) + (w,)
                     else:
                         stack.append((path_ + [w], mask | (1 << w)))
-
-
-def chordless_odd_cycles(g: Graph) -> tuple[Cycle, ...]:
-    """All chordless odd cycles, shortest first, then lexicographic.  No
-    work budget either: a test reference, like `iter_chordless_odd_cycles`."""
-    return tuple(sorted(iter_chordless_odd_cycles(g), key=lambda c: (len(c), c)))

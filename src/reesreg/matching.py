@@ -11,10 +11,9 @@ search that fails is never touched again, because no later augmenting path
 enters its tree (Edmonds 1965), so its tree and root are those of the final
 matching, and D(G) is the union of the failed searches' outer sets.  The
 run is made once per graph: the matching and D(G) are stored in the
-graph's `_facts`, where every later caller reads them.
-`matching_number_bruteforce` is the independent oracle: plain branch and
-bound over the edge list.  The Konig test and the first maximum independent
-set of a Konig graph are one 2-SAT walk on one maximum matching.
+graph's `_facts`, where every later caller reads them.  The Konig test
+and the first maximum independent set of a Konig graph are one 2-SAT walk
+on one maximum matching.
 """
 
 from __future__ import annotations
@@ -22,10 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InstanceTooLargeError
 from .graphs import Graph, VertexSet, labels_of
-
-BRUTEFORCE_EDGE_LIMIT = 26
 
 
 @dataclass(frozen=True)
@@ -186,37 +182,6 @@ def _try_augment(
             base[i] = i
 
 
-def matching_number_bruteforce(g: Graph) -> int:
-    """Maximum matching size by branch and bound over the edge list.
-
-    The bound is size + min(edges left, floor(free vertices / 2)).  Guarded
-    to at most 26 edges.
-    """
-    if g.m > BRUTEFORCE_EDGE_LIMIT:
-        raise InstanceTooLargeError(
-            f"{g.m} edges exceeds the brute-force limit of {BRUTEFORCE_EDGE_LIMIT}"
-        )
-    edges = [(1 << u | 1 << v) for u, v in g.edges]
-    total = len(edges)
-    n = g.n
-    best = 0
-
-    def grow(i: int, used_mask: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        free = n - used_mask.bit_count()
-        if size + min(total - i, free // 2) <= best:
-            return
-        for j in range(i, total):
-            ej = edges[j]
-            if not used_mask & ej:
-                grow(j + 1, used_mask | ej, size + 1)
-
-    grow(0, 0, 0)
-    return best
-
-
 def has_perfect_matching(g: Graph) -> bool:
     return 2 * matching_number(g) == g.n
 
@@ -298,9 +263,7 @@ __all__ = [
     "Matching",
     "max_matching",
     "matching_number",
-    "matching_number_bruteforce",
     "has_perfect_matching",
     "is_factor_critical",
     "is_konig",
-    "BRUTEFORCE_EDGE_LIMIT",
 ]

@@ -86,6 +86,8 @@ def _b_graph_connected(h: Graph, t_mask: int) -> bool:
 def is_fundamental_independent_set(h: Graph, t: VertexSet) -> bool:
     """Nonempty independent T with B_H(T) connected and every component of
     H minus (T u N(T)) containing an odd cycle."""
+    for v in t:
+        h._check_vertex(v)
     if not t:
         return False
     t_mask = mask_of(t)
@@ -565,15 +567,8 @@ def compute_q0(g: Graph) -> OracleResult:
         raise ValueError("oracle needs a graph with at least two edges")
     if not is_rees_normal(g):
         raise ValueError("oracle needs a normal Rees algebra")
-    return _q0(g)
-
-
-def _q0(g: Graph) -> OracleResult:
-    # compute_q0 for a g known to have two edges and a normal Rees algebra.
-    # The search runs on an index built straight from the cone's masks and
-    # starts at the least dilation that its precheck admits; the bound
-    # keeps q within the enumeration guard.
     n = g.n + 1
+    # q <= bound <= n keeps every dilation within the enumeration guard.
     _check_enum_guard(n, 1)
     coords, pairs = _cone_constraints(g)
     index = _index_masks(n, mask_of(coords), pairs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .decomposition import gallai_edmonds, tutte_berge_witness
 from .graphs import Graph, VertexSet, is_bipartite
 from .matching import has_perfect_matching, is_factor_critical, is_konig
-from .polytope import OracleResult, _q0
+from .polytope import OracleResult, compute_q0
 from .rees import RegularityResult, RegularityStatus, regularity
 
 
@@ -205,8 +205,9 @@ def run_oracle(g: Graph, reg: RegularityResult) -> tuple[OracleResult | None, st
         return None, "oracle skipped: graph has fewer than two edges"
     if reg.status is RegularityStatus.NOT_NORMAL:
         return None, "oracle skipped: Rees algebra is not normal"
-    # A computed closed form has already found two edges and normality.
-    return _q0(g), None
+    # A computed closed form has stored its normality test on g, so the
+    # oracle's preconditions read that answer and decide nothing again.
+    return compute_q0(g), None
 
 
 def build_report(

@@ -15,6 +15,12 @@ sums.  The Tutte-Berge witness reference tests every vertex subset from
 bitmasks from the deficiency up and cuts a partial T by the size of N(T);
 the implicit-equality reference scans
 every edge, where the library reads the answer off neighborhood masks.
+The matching number reference is a branch and bound over the edge list,
+where the library runs the blossom search.  The independence number is the
+size of the library's brute-force `max_independent_set`, under its guard,
+and the chordless odd cycles are the library's unbudgeted enumeration,
+sorted; the library decides the Konig property and the odd cycle
+condition without either.
 """
 
 from __future__ import annotations
@@ -25,12 +31,14 @@ from reesreg import (
     GallaiEdmonds,
     Graph,
     HalfSpaceSystem,
+    InstanceTooLargeError,
     induced_subgraph,
     matching_number,
-    max_matching,
+    max_independent_set,
     point_membership,
 )
 from reesreg.graphs import (
+    Cycle,
     VertexSet,
     components_within,
     iter_chordless_odd_cycles,
@@ -40,12 +48,55 @@ from reesreg.graphs import (
 )
 from reesreg.polytope import UNIT_COORDINATE_SUM, LatticePoint
 
+BRUTEFORCE_EDGE_LIMIT = 26
+
+
+def matching_number_bruteforce(g: Graph) -> int:
+    """Maximum matching size by branch and bound over the edge list.
+
+    The bound is size + min(edges left, floor(free vertices / 2)).  Guarded
+    to at most 26 edges.
+    """
+    if g.m > BRUTEFORCE_EDGE_LIMIT:
+        raise InstanceTooLargeError(
+            f"{g.m} edges exceeds the brute-force limit of {BRUTEFORCE_EDGE_LIMIT}"
+        )
+    edges = [(1 << u | 1 << v) for u, v in g.edges]
+    total = len(edges)
+    n = g.n
+    best = 0
+
+    def grow(i: int, used_mask: int, size: int) -> None:
+        nonlocal best
+        if size > best:
+            best = size
+        free = n - used_mask.bit_count()
+        if size + min(total - i, free // 2) <= best:
+            return
+        for j in range(i, total):
+            ej = edges[j]
+            if not used_mask & ej:
+                grow(j + 1, used_mask | ej, size + 1)
+
+    grow(0, 0, 0)
+    return best
+
+
+def independence_number(g: Graph) -> int:
+    """The size of `max_independent_set`, under its guard."""
+    return len(max_independent_set(g))
+
+
+def chordless_odd_cycles(g: Graph) -> tuple[Cycle, ...]:
+    """All chordless odd cycles, shortest first, then lexicographic.  No
+    work budget, like `iter_chordless_odd_cycles`."""
+    return tuple(sorted(iter_chordless_odd_cycles(g), key=lambda c: (len(c), c)))
+
 
 def gallai_edmonds_by_deletion(g: Graph) -> GallaiEdmonds:
     """D/A/C by n + 1 matching runs: v is in D(G) iff deleting v does not
     drop the matching number."""
-    matching = max_matching(g)
-    mat = matching.size
+    mat = matching_number(g)
     d_mask = 0
     all_mask = g.full_mask
     for v in g.vertices:
@@ -59,7 +110,6 @@ def gallai_edmonds_by_deletion(g: Graph) -> GallaiEdmonds:
         a_set=labels_of(a_mask),
         c_set=labels_of(c_mask),
         d_components=tuple(labels_of(m) for m in components_within(g, d_mask)),
-        matching=matching,
     )
 
 

@@ -16,6 +16,7 @@ from conftest import record_acceptance
 from reference import (
     gallai_edmonds_by_deletion,
     is_factor_critical_by_deletion,
+    matching_number_bruteforce,
     satisfies_odd_cycle_condition_pairwise,
 )
 from reesreg import (
@@ -38,7 +39,6 @@ from reesreg import (
     is_rees_normal,
     is_tutte_berge,
     matching_number,
-    matching_number_bruteforce,
     max_independent_set,
     max_matching,
     paper_example,

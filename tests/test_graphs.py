@@ -10,19 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
+from reference import chordless_odd_cycles, independence_number
 from reesreg import (
     Graph,
     GraphFormatError,
     InstanceTooLargeError,
     bipartite_check,
-    chordless_odd_cycles,
     complete,
     complete_bipartite,
     connected_components,
     cycle,
     disjoint_union,
     generate,
-    independence_number,
     independent_sets,
     induced_subgraph,
     is_bipartite,
@@ -291,6 +290,9 @@ def test_generate_dispatch():
         generate("torus", 3)
     with pytest.raises(ValueError):
         generate("cycle")
+    assert generate("disjoint-union", cycle(3), path(2)) == disjoint_union(cycle(3), path(2))
+    with pytest.raises(ValueError, match="disjoint-union takes two Graph objects"):
+        generate("disjoint-union", "a.g", "b.g")
 
 
 def test_induced_subgraph_mapping():

@@ -56,7 +56,6 @@ from reesreg.polytope import (
     _cone_constraints,
     _cone_system,
     _index_masks,
-    _q0,
     _strict_somewhere,
 )
 from reesreg.rees import RegularityStatus
@@ -104,6 +103,15 @@ def test_fundamental_sets_frozen_examples():
     )
     assert not is_fundamental_independent_set(cycle(4), ())
     assert not is_fundamental_independent_set(cycle(4), (1, 2))
+
+
+@pytest.mark.parametrize("v", [0, 4, -1])
+def test_fundamental_set_test_rejects_labels_outside_the_graph(v):
+    # As in is_regular_vertex, a label outside 1..n is an error, not an
+    # answer: 0 would read as a set with no neighbors, 4 as an index past
+    # the adjacency and -1 as a negative shift.
+    with pytest.raises(ValueError, match=f"vertex {v} not in 1..3"):
+        is_fundamental_independent_set(cycle(3), (v,))
 
 
 def test_fundamental_sets_stop_at_the_first_empty_size():
@@ -348,7 +356,7 @@ def test_mask_native_oracle_matches_the_dilation_loop():
             points = interior_lattice_points(system, q)
             if points:
                 break
-        assert _q0(g) == OracleResult(q0=q, interior_witness=points[0], reg=g.n + 1 - q), g
+        assert compute_q0(g) == OracleResult(q0=q, interior_witness=points[0], reg=g.n + 1 - q), g
         digest.update(repr((g.n, g.edges, q, points[0])).encode() + b"\n")
         coords, pairs = _cone_constraints(g)
         index = _index_masks(g.n + 1, mask_of(coords), pairs)

@@ -39,7 +39,6 @@ from reesreg.corpus import (
     exhaustive_graphs,
     random_graphs,
 )
-from reesreg.rees import satisfies_odd_cycle_condition
 from reesreg.report import write_json
 
 
@@ -283,17 +282,16 @@ def test_report_runs_the_blossom_once(monkeypatch):
 
 
 def test_oracle_report_runs_the_odd_cycle_condition_once(tmp_path, monkeypatch, capsys):
-    # The closed form's status already says the Rees algebra is normal, so
-    # the oracle does not test the odd cycle condition again.
+    # The closed form has stored the odd cycle condition on the graph, so
+    # the oracle's normality check reads that answer and decides nothing.
     calls = []
 
     def counted(g):
         calls.append(g)
-        return satisfies_odd_cycle_condition(g)
+        return decide(g)
 
-    _patch_every_binding(
-        monkeypatch, "reesreg.rees", "satisfies_odd_cycle_condition", counted
-    )
+    decide = rees._odd_cycle_condition
+    _patch_every_binding(monkeypatch, "reesreg.rees", "_odd_cycle_condition", counted)
     for g in (paper_example(), cycle(5), random_graph(9, 0.4, 2)):
         calls.clear()
         r = build_report(g, with_oracle=True)
@@ -304,6 +302,32 @@ def test_oracle_report_runs_the_odd_cycle_condition_once(tmp_path, monkeypatch, 
     assert main(["regularity", target, "--oracle"]) == 0
     assert len(calls) == 1
     assert "agreement    True" in capsys.readouterr().out
+
+
+def test_the_oracle_has_one_door(tmp_path, monkeypatch, capsys):
+    # The report and the CLI reach the lattice oracle through compute_q0
+    # alone, once a graph, and only when the closed form is computed.
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return search(g)
+
+    search = polytope.compute_q0
+    _patch_every_binding(monkeypatch, "reesreg.polytope", "compute_q0", counted)
+    g = paper_example()
+    assert build_report(g, with_oracle=True).oracle == search(g)
+    assert calls == [g]
+    target = _write(tmp_path, "ex.txt", g)
+    calls.clear()
+    assert main(["regularity", target, "--oracle"]) == 0
+    assert "agreement    True" in capsys.readouterr().out
+    assert len(calls) == 1
+    for skipped in (disjoint_union(cycle(3), cycle(3)), path(2)):
+        assert build_report(skipped, with_oracle=True).oracle is None
+        assert main(["regularity", _write(tmp_path, "skip.txt", skipped), "--oracle"]) == 0
+        assert "oracle skipped" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_check_graph_computes_each_fact_once(monkeypatch):
