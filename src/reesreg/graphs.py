@@ -270,23 +270,36 @@ def paper_example() -> Graph:
     )
 
 
-def _graph(g: object) -> Graph:
-    # The one family whose parameters are graphs; the CLI reads them from files.
-    if not isinstance(g, Graph):
-        raise ValueError(f"disjoint-union takes two Graph objects, got {g!r}")
-    return g
-
-
-# Family name -> (generator, its parameters as (name, conversion) pairs).
+# Family name -> (generator, its parameters as (name, type) pairs).
 _GENERATORS = {
     "cycle": (cycle, (("k", int),)),
     "path": (path, (("k", int),)),
     "complete": (complete, (("k", int),)),
     "complete-bipartite": (complete_bipartite, (("a", int), ("b", int))),
     "random": (random_graph, (("n", int), ("p", float), ("seed", int))),
-    "disjoint-union": (disjoint_union, (("g1", _graph), ("g2", _graph))),
+    "disjoint-union": (disjoint_union, (("g1", Graph), ("g2", Graph))),
     "paper-example": (paper_example, ()),
 }
+
+_KIND_NAMES = {int: "an integer", float: "a number", Graph: "a Graph"}
+
+
+def _parameter(family: str, name: str, kind: type, x: object) -> object:
+    # One parameter of `family` as its type: a value of that type (an int
+    # also serves as a float, a bool as neither), or a number's literal as
+    # the CLI passes it.  Anything else, such as 3.9 for an int, is refused,
+    # not rounded.  A Graph comes only as itself; the CLI reads it from a
+    # file.
+    exact = (int, float) if kind is float else kind
+    if isinstance(x, exact) and not isinstance(x, bool):
+        return float(x) if kind is float else x
+    if isinstance(x, str) and kind is not Graph:
+        try:
+            return kind(x)
+        except ValueError:
+            pass
+    raise ValueError(f"{family} parameter {name} must be {_KIND_NAMES[kind]}, got {x!r}")
+
 
 GENERATOR_FAMILIES = tuple(_GENERATORS)
 
@@ -300,7 +313,7 @@ def generate(family: str, *params) -> Graph:
     if len(params) != len(spec):
         names = " ".join(p for p, _ in spec) or "no parameters"
         raise ValueError(f"{name} takes {names}")
-    return make(*(convert(x) for (_, convert), x in zip(spec, params)))
+    return make(*(_parameter(name, p, kind, x) for (p, kind), x in zip(spec, params)))
 
 
 # ---------------------------------------------------------------------------

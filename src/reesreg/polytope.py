@@ -135,12 +135,15 @@ class HalfSpaceSystem:
 
     @cached_property
     def _search_index(self) -> _SearchIndex:
-        # Built on the first lattice search and kept for the next dilation.
-        return _index_masks(
-            self.ambient_n,
-            mask_of(self.coord_constraints),
-            [(mask_of(t), mask_of(nb)) for t, nb in self.set_constraints],
-        )
+        # Made on the first lattice search and kept for the next dilation,
+        # which reuses the lists the first one built.  A coordinate in T
+        # and N alike, which only a system built by hand lists, adds as
+        # much to each side, so it is dropped from both.
+        pairs = []
+        for t, nb in self.set_constraints:
+            t_mask, n_mask = mask_of(t), mask_of(nb)
+            pairs.append((t_mask & ~n_mask, n_mask & ~t_mask))
+        return _index_masks(self.ambient_n, mask_of(self.coord_constraints), pairs)
 
 
 def halfspace_system(h: Graph) -> HalfSpaceSystem:
@@ -164,14 +167,16 @@ def halfspace_system(h: Graph) -> HalfSpaceSystem:
 def _strict_somewhere(adj: Sequence[int], t: int, nb: int) -> bool:
     # Does some edge have more ends in nb than in t, so that sum_t x <=
     # sum_nb x is strict at its polytope vertex e_u + e_v?  Exactly when an
-    # end u lies in nb - t and the other end is in nb or outside t.
+    # end u lies in nb - t and the other end is in nb or outside t.  The
+    # ends are tried from the top bit down: in a cone the apex comes first
+    # and settles it.
     outside = ~(t & ~nb)
     m = nb & ~t
     while m:
-        low = m & -m
-        if adj[low.bit_length() - 1] & outside:
+        u = m.bit_length() - 1
+        if adj[u] & outside:
             return True
-        m ^= low
+        m ^= 1 << u
     return False
 
 
@@ -263,13 +268,15 @@ def _cone_constraints(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, int]]]
     # N_g(T) plus the apex.  A vertex v of g is regular when g - v keeps an
     # edge (the cone minus v is connected, and an edge plus the apex is a
     # triangle); the apex is regular when no component of g is bipartite.
-    if not g.m:
+    m = g.m
+    if not m:
         raise NoOddCycleError("half-space description needs an odd cycle")
     apex = g.n + 1
     apex_bit = 1 << apex
-    adj = [0] + [a | apex_bit for a in g.adj_bits[1:]] + [g.full_mask]
+    adj_g = g.adj_bits
+    adj = [0] + [a | apex_bit for a in adj_g[1:]] + [g.full_mask]
     components = list(_bfs(g, g.full_mask))
-    coords = tuple(v for v in g.vertices if g.m > g.adj_bits[v].bit_count())
+    coords = tuple(v for v in g.vertices if m > adj_g[v].bit_count())
     if not any(bipartite for _, _, bipartite in components):
         coords += (apex,)
     # One option per component; their masks are disjoint, so a choice's
@@ -343,25 +350,46 @@ def _enumerable_cone_system(g: Graph, q: int) -> HalfSpaceSystem:
 
 class _SearchIndex(NamedTuple):
     # What the lattice search needs of a system beyond q and strictness, by
-    # 0-based coordinate i and constraint number c.  Each T is independent,
-    # so it is disjoint from its N = N(T).
+    # 0-based coordinate i and constraint number c, for set constraints
+    # whose T and N are disjoint.  The first five fields come from one pass
+    # over the constraints; the five lists per coordinate after them are
+    # None until `level` builds them, when a search first enters i.
     listed: tuple[bool, ...]  # x_i >= 0 is listed
     balance: list[int]  # |N & listed| - |T & listed|
     last_n: list[int]  # the last coordinate in N, or -1
-    plus: list[list[int]]  # the c with i in N
-    minus: list[list[int]]  # the c with i in T
+    rows: list[tuple[int, int, int]]  # (T, N, the last bit of N), as masks
     # The bound each c puts on the next value e_i (see _search).
     floor_at: list[list[int]]  # e_i >= -slack: i is the last of N
-    spend: list[list[int]]  # e_i <= slack + left: i outside T u N
-    spend2: list[list[int]]  # 2 e_i <= slack + left: i in T before N ends
-    cap: list[list[int]]  # e_i <= slack: i in T after all of N
+    plus: list[list[int] | None]  # the c with i in N
+    minus: list[list[int] | None]  # the c with i in T
+    spend: list[list[int] | None]  # e_i <= slack + left: i outside T u N
+    spend2: list[list[int] | None]  # 2 e_i <= slack + left: i in T before N ends
+    cap: list[list[int] | None]  # e_i <= slack: i in T after all of N
+
+    def level(self, i: int) -> None:
+        # Build coordinate i's five lists, filing each constraint by its
+        # bit tests; a later search on the same index reuses them.
+        if self.plus[i] is not None:
+            return
+        v = i + 1
+        bit = 1 << v
+        p, m, s, s2, cp = [], [], [], [], []
+        for c, (t, nb, last) in enumerate(self.rows):
+            if t & bit:
+                m.append(c)
+                (s2 if v < last else cp).append(c)
+            elif nb & bit:
+                p.append(c)
+            elif v < last:
+                s.append(c)
+        self.plus[i], self.minus[i], self.spend[i] = p, m, s
+        self.spend2[i], self.cap[i] = s2, cp
 
 
 def _index_masks(n: int, listed: int, pairs: Iterable[tuple[int, int]]) -> _SearchIndex:
     # The index of the system on 1..n with the listed coordinates `listed`
-    # and the set constraints (T, N) given as mask pairs, numbered in order.
-    # One pass over the constraints, then one per coordinate, which files
-    # each constraint by its bit tests.
+    # and the set constraints (T, N) given as disjoint mask pairs, numbered
+    # in order, with no coordinate's lists built yet.
     balance = []
     last_n = []
     floor_at: list[list[int]] = [[] for _ in range(n)]
@@ -372,29 +400,13 @@ def _index_masks(n: int, listed: int, pairs: Iterable[tuple[int, int]]) -> _Sear
         last_n.append(last - 1 if nb else -1)
         if nb:
             floor_at[last - 1].append(c)
-        rows.append((c, t, nb, last))
-    plus, minus, spend, spend2, cap = [], [], [], [], []
-    for v in range(1, n + 1):
-        bit = 1 << v
-        p, m, s, s2, cp = [], [], [], [], []
-        for c, t, nb, last in rows:
-            if t & bit:
-                m.append(c)
-                (s2 if v < last else cp).append(c)
-                # Only a system built by hand lists v in T and N alike.
-                if nb & bit:
-                    p.append(c)
-            elif nb & bit:
-                p.append(c)
-            elif v < last:
-                s.append(c)
-        plus.append(p)
-        minus.append(m)
-        spend.append(s)
-        spend2.append(s2)
-        cap.append(cp)
+        rows.append((t, nb, last))
     is_listed = tuple(bool(listed >> v & 1) for v in range(1, n + 1))
-    return _SearchIndex(is_listed, balance, last_n, plus, minus, floor_at, spend, spend2, cap)
+    unbuilt = [None] * n
+    return _SearchIndex(
+        is_listed, balance, last_n, rows, floor_at,
+        unbuilt, unbuilt[:], unbuilt[:], unbuilt[:], unbuilt[:],
+    )
 
 
 def _least_dilation(index: _SearchIndex) -> int:
@@ -449,6 +461,15 @@ def _search(index: _SearchIndex, n: int, q: int, strict: bool) -> Iterator[Latti
     # The search runs in this one frame: level i keeps its value value[i],
     # the top of its interval upper[i] and the budget left[i] it started
     # with, and slack always includes the values of the levels above i.
+    #
+    # It enters first the level `start` of the first coordinate that is the
+    # last of some N (on a cone, vertex n), with every level before it at
+    # 0.  That is the value the search would give them: no such level has
+    # a floor, and with no value placed yet the precheck's slack + excess
+    # >= 0 (slack >= 0 for an empty N) keeps each of its tops at 0 or
+    # more.  A skipped level's top is computed, and its lists built, only
+    # when the search backs up into it; every level after it is then done
+    # and undone, so slack and its budget are what they were on entry.
     low = 1 if strict else 0
     mins = [low if is_listed else 0 for is_listed in index.listed]
     excess = UNIT_COORDINATE_SUM * q - sum(mins)
@@ -463,23 +484,28 @@ def _search(index: _SearchIndex, n: int, q: int, strict: bool) -> Iterator[Latti
     prefix = mins[:]
     value = [0] * n
     upper = [0] * n
-    left = [0] * n
-    left[0] = excess
+    left = [excess] * n
     last = n - 1
-    i = 0
+    # Levels start..deep have their lists built.
+    i = start = deep = min((c for c in index.last_n if c >= 0), default=last)
+    index.level(i)
     while True:
         # Enter level i: the interval of values its bounds allow.
         budget = left[i]
         lo = 0
-        if floor_at[i]:
-            lo = max(lo, -min(map(get, floor_at[i])))
+        bound = floor_at[i]
+        if bound:
+            lo = max(0, -min(map(get, bound)))
         hi = budget
-        if spend[i]:
-            hi = min(hi, budget + min(map(get, spend[i])))
-        if spend2[i]:
-            hi = min(hi, (budget + min(map(get, spend2[i]))) // 2)
-        if cap[i]:
-            hi = min(hi, min(map(get, cap[i])))
+        bound = spend[i]
+        if bound:
+            hi = min(hi, budget + min(map(get, bound)))
+        bound = spend2[i]
+        if bound:
+            hi = min(hi, (budget + min(map(get, bound))) // 2)
+        bound = cap[i]
+        if bound:
+            hi = min(hi, min(map(get, bound)))
         if i == last:
             if lo <= budget <= hi:
                 prefix[i] = mins[i] + budget
@@ -495,13 +521,19 @@ def _search(index: _SearchIndex, n: int, q: int, strict: bool) -> Iterator[Latti
             prefix[i] = mins[i] + lo
             left[i + 1] = budget - lo
             i += 1
+            if i > deep:
+                deep = i
+                index.level(i)
             continue
         # Back up to the deepest level with a value left in its interval,
         # undoing the slack of each level it leaves.
         while True:
             i -= 1
-            if i < 0:
-                return
+            if i < start:
+                if i < 0:
+                    return
+                start = i
+                upper[i] = _skipped_top(index, i, slack, excess)
             e = value[i]
             if e < upper[i]:
                 break
@@ -518,6 +550,21 @@ def _search(index: _SearchIndex, n: int, q: int, strict: bool) -> Iterator[Latti
         prefix[i] += 1
         left[i + 1] -= 1
         i += 1
+
+
+def _skipped_top(index: _SearchIndex, i: int, slack: list[int], budget: int) -> int:
+    # The top of level i's interval as _search computes it on entry, for a
+    # level it skipped at 0: there is no floor, and no value is placed yet.
+    index.level(i)
+    get = slack.__getitem__
+    hi = budget
+    if index.spend[i]:
+        hi = min(hi, budget + min(map(get, index.spend[i])))
+    if index.spend2[i]:
+        hi = min(hi, (budget + min(map(get, index.spend2[i]))) // 2)
+    if index.cap[i]:
+        hi = min(hi, min(map(get, index.cap[i])))
+    return hi
 
 
 def lattice_points(system: HalfSpaceSystem, q: int) -> tuple[LatticePoint, ...]:

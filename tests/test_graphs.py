@@ -291,8 +291,23 @@ def test_generate_dispatch():
     with pytest.raises(ValueError):
         generate("cycle")
     assert generate("disjoint-union", cycle(3), path(2)) == disjoint_union(cycle(3), path(2))
-    with pytest.raises(ValueError, match="disjoint-union takes two Graph objects"):
+    with pytest.raises(ValueError, match="disjoint-union parameter g1 must be a Graph"):
         generate("disjoint-union", "a.g", "b.g")
+    # The CLI passes literals, which convert exactly; an int serves as p.
+    assert generate("random", "6", "0.5", "3") == random_graph(6, 0.5, seed=3)
+    assert generate("random", 6, 1, 3) == random_graph(6, 1.0, seed=3)
+    # A parameter that is not exactly of its type is refused, not rounded,
+    # by a message that names the family and the parameter.
+    for args, message in [
+        (("cycle", 3.9), "cycle parameter k must be an integer, got 3.9"),
+        (("cycle", "x"), "cycle parameter k must be an integer, got 'x'"),
+        (("cycle", True), "cycle parameter k must be an integer, got True"),
+        (("random", 5, 0.5, 1.7), "random parameter seed must be an integer, got 1.7"),
+        (("random", 5, "half", 1), "random parameter p must be a number, got 'half'"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            generate(*args)
+        assert str(exc.value) == message
 
 
 def test_induced_subgraph_mapping():

@@ -5,6 +5,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reesreg import (
     Graph,
@@ -51,6 +53,7 @@ from reesreg.graphs import (
 from reesreg.matching import Matching
 from reesreg.polytope import (
     UNIT_COORDINATE_SUM,
+    HalfSpaceSystem,
     OracleResult,
     _SearchIndex,
     _cone_constraints,
@@ -242,6 +245,46 @@ def test_strictness_matches_interior_filter():
         assert list(interior_lattice_points(system, q)) == strict
 
 
+@st.composite
+def _hand_built_systems(draw):
+    # A system on 1..n, n <= 5, with any listed coordinates and zero to four
+    # set constraints (T, N) on any subsets: N may be empty, T and N may
+    # meet, and the last N coordinate, which floors the search there, may
+    # be any coordinate, so the search backs up into levels it skipped.
+    n = draw(st.integers(min_value=1, max_value=5))
+    subsets = st.sets(st.integers(min_value=1, max_value=n)).map(lambda s: tuple(sorted(s)))
+    coords = draw(subsets)
+    sets = draw(st.lists(st.tuples(subsets, subsets), max_size=4))
+    return HalfSpaceSystem(ambient_n=n, coord_constraints=coords, set_constraints=tuple(sets))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hand_built_systems())
+def test_search_matches_composition_walk_on_hand_built_systems(system):
+    for q in (1, 2, 3):
+        assert lattice_points(system, q) == lattice_points_by_composition(system, q, strict=False)
+        assert interior_lattice_points(system, q) == lattice_points_by_composition(system, q, strict=True)
+
+
+def test_oracle_builds_the_lists_of_two_coordinates(monkeypatch):
+    # On a cone every set constraint but {apex}'s ends its N at the apex,
+    # and {apex}'s at vertex n, so the search starts at vertex n with every
+    # coordinate before it at 0.  On these graphs it never backs up past
+    # vertex n, and only vertex n and the apex get their lists built.
+    indexes = []
+    index_masks = polytope._index_masks
+
+    def keep(*args):
+        indexes.append(index_masks(*args))
+        return indexes[-1]
+
+    monkeypatch.setattr(polytope, "_index_masks", keep)
+    for g in (paper_example(), cycle(5)):
+        compute_q0(g)
+        built = [i + 1 for i, lists in enumerate(indexes[-1].plus) if lists is not None]
+        assert built == [g.n, g.n + 1], g
+
+
 def _sparse_systems():
     # The cones of seeded sparse G(n, c/n) with n = 5..7 (ambient 6..8),
     # and the general systems of non-bipartite G(n, c/n) with n = 5..7,
@@ -308,12 +351,22 @@ def test_cone_system_matches_general_build_sparse_seeded():
             assert _cone_system(g) == halfspace_system(cone_graph(g)), g
 
 
+def _built(index: _SearchIndex) -> _SearchIndex:
+    # The index with every coordinate's lists built, as a search that
+    # entered every level would leave it.
+    for i in range(len(index.listed)):
+        index.level(i)
+    return index
+
+
 def _renumbered(index: _SearchIndex) -> tuple:
     # The index up to the numbering of its set constraints: the listed
     # coordinates, and per constraint its balance, its last N coordinate
     # and the coordinates at which each list holds it, in sorted order.
     sig = [[b, last] for b, last in zip(index.balance, index.last_n)]
-    for per_i in index[3:]:
+    _built(index)
+    per_coordinate = (index.floor_at, index.plus, index.minus, index.spend, index.spend2, index.cap)
+    for per_i in per_coordinate:
         for s in sig:
             s.append([])
         for i, cs in enumerate(per_i):
@@ -345,7 +398,8 @@ def test_mask_native_oracle_matches_the_dilation_loop():
     # must find what the public search finds dilation by dilation on the
     # listed system, and its index must be the system's up to the
     # numbering of the set constraints (exactly the system's, numbered in
-    # the system's order).  Its outputs are pinned by ORACLE_DIGEST.
+    # the system's order), once every level of both is built.  Its outputs
+    # are pinned by ORACLE_DIGEST.
     cells = set()
     digest = hashlib.sha256()
     for g in _oracle_inputs():
@@ -362,7 +416,7 @@ def test_mask_native_oracle_matches_the_dilation_loop():
         index = _index_masks(g.n + 1, mask_of(coords), pairs)
         assert _renumbered(index) == _renumbered(system._search_index), g
         in_order = sorted(pairs, key=lambda tn: (tn[0].bit_count(), labels_of(tn[0])))
-        assert _index_masks(g.n + 1, mask_of(coords), in_order) == system._search_index, g
+        assert _built(_index_masks(g.n + 1, mask_of(coords), in_order)) == system._search_index, g
         cells.add((g.n, q))
     # q0 takes at least four values at each n past the exhaustive range.
     for n in range(7, 12):

@@ -542,6 +542,8 @@ def test_cli_polytope_edgeless_keeps_odd_cycle_error(tmp_path, capsys):
         (["gen", "random", "10", "0.5"], "random takes n p seed"),
         (["gen", "complete-bipartite", "3"], "complete-bipartite takes a b"),
         (["gen", "paper-example", "7"], "paper-example takes no parameters"),
+        (["gen", "cycle", "x"], "cycle parameter k must be an integer, got 'x'"),
+        (["gen", "random", "5", "0.5", "1.7"], "random parameter seed must be an integer, got '1.7'"),
     ],
 )
 def test_cli_gen_names_the_parameters(argv, message, capsys):
