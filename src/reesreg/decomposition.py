@@ -26,7 +26,7 @@ from .graphs import (
     Graph,
     VertexSet,
     _bfs,
-    _check_independent_walk,
+    _independent_of_size,
     components_within,
     labels_of,
     neighbor_mask,
@@ -107,46 +107,17 @@ def tutte_berge_bruteforce(g: Graph) -> TutteBergeWitness | None:
     """First independent set (smallest, then lexicographic) attaining the
     deficiency equation, or None.  Searches independent sets, so guarded
     to n <= 20."""
-    _check_independent_walk(g)
     # T and N(T) are disjoint, so |N(T)| >= 0 rules out every T smaller
     # than the deficiency and |T| + |N(T)| <= n every T larger than
-    # (n + deficiency) // 2.
+    # (n + deficiency) // 2.  Within size k the walk cuts every T with
+    # |N(T)| > k - deficiency, and a full T must meet it exactly.
     defect = deficiency(g)
     for k in range(defect, (g.n + defect) // 2 + 1):
-        t = _first_attaining(g, k, k - defect)
-        if t is not None:
-            return TutteBergeWitness(t_set=labels_of(t), deficiency=defect)
+        cap = k - defect
+        for t, nb in _independent_of_size(g, k, cap):
+            if nb.bit_count() == cap:
+                return TutteBergeWitness(t_set=labels_of(t), deficiency=defect)
     return None
-
-
-def _first_attaining(g: Graph, k: int, cap: int) -> int | None:
-    # The first independent k-set T, lexicographic by member list, with
-    # |N(T)| = cap, or None.  N(T) is built one member at a time and only
-    # grows as T does, so a partial T whose neighborhood is past the cap is
-    # cut with everything below it; a full T must meet the cap exactly.
-    n = g.n
-    adj = g.adj_bits
-
-    def rec(start: int, chosen: int, nb: int, need: int) -> int | None:
-        for v in range(start, n - need + 2):
-            if nb >> v & 1:
-                continue
-            nb_v = nb | adj[v]
-            size = nb_v.bit_count()
-            if size > cap:
-                continue
-            if need == 1:
-                if size == cap:
-                    return chosen | 1 << v
-            else:
-                found = rec(v + 1, chosen | 1 << v, nb_v, need - 1)
-                if found is not None:
-                    return found
-        return None
-
-    if not k:
-        return 0 if cap == 0 else None
-    return rec(1, 0, 0, k)
 
 
 def tutte_berge_witness(g: Graph) -> TutteBergeWitness | None:

@@ -132,12 +132,13 @@ class Graph:
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format.
 
-    Lines starting with '#' and blank lines are ignored.  The first data line
-    is "n m"; exactly m edge lines "u v" follow, in any order, either endpoint
-    first.  One pass splits each line once.  A bad header is reported at
-    once; then a wrong edge-line count; then the first bad line, loop or
-    out-of-range label; and a repeat only if every line passes those checks.
-    The Graph constructor checks the result.
+    One leading byte-order mark (U+FEFF) is dropped.  Lines starting with
+    '#' and blank lines are ignored.  The first data line is "n m"; exactly
+    m edge lines "u v" follow, in any order, either endpoint first.  One
+    pass splits each line once.  A bad header is reported at once; then a
+    wrong edge-line count; then the first bad line, loop or out-of-range
+    label; and a repeat only if every line passes those checks.  The Graph
+    constructor checks the result.
     """
     n = m = -1
     found = 0
@@ -146,7 +147,7 @@ def parse_graph(text: str) -> Graph:
     # order then sorts in linear time.
     edges: dict[tuple[int, int], None] = {}
     repeat = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         parts = line.split()
         if not parts or parts[0][0] == "#":
             continue
@@ -461,12 +462,24 @@ def neighbor_mask(g: Graph, mask: int) -> int:
     return out
 
 
-def _independent_of_size(g: Graph, k: int) -> Iterator[tuple[int, int]]:
+def _independent_of_size(
+    g: Graph, k: int, cap: int | None = None
+) -> Iterator[tuple[int, int]]:
     """All independent k-subsets T as (T, N(T)) mask pairs, lexicographic
     by member list.  N(T) is also the set of vertices T rules out, so it
-    is built up along the way, one union per member."""
+    is built up along the way, one union per member.  It only grows as T
+    does, so given a `cap`, a partial T whose N(T) has more than cap
+    members is dropped with everything below it.
+
+    Every walk over independent sets comes through here, so this is the
+    guard: past INDEPENDENT_ENUM_LIMIT vertices it raises
+    InstanceTooLargeError before its first item."""
     n = g.n
+    if n > INDEPENDENT_ENUM_LIMIT:
+        raise InstanceTooLargeError(f"n = {n} exceeds the independent-set enumeration limit")
     adj = g.adj_bits
+    if cap is None:
+        cap = n
     if k == 0:
         yield 0, 0
         return
@@ -475,10 +488,13 @@ def _independent_of_size(g: Graph, k: int) -> Iterator[tuple[int, int]]:
         for v in range(start, n - need + 2):
             if nb >> v & 1:
                 continue
+            nb_v = nb | adj[v]
+            if nb_v.bit_count() > cap:
+                continue
             if need == 1:
-                yield chosen | 1 << v, nb | adj[v]
+                yield chosen | 1 << v, nb_v
             else:
-                yield from rec(v + 1, chosen | 1 << v, nb | adj[v], need - 1)
+                yield from rec(v + 1, chosen | 1 << v, nb_v, need - 1)
 
     yield from rec(1, 0, 0, k)
 
@@ -497,21 +513,12 @@ def _independent_from(g: Graph, k: int) -> Iterator[tuple[int, int]]:
         k += 1
 
 
-def _check_independent_walk(g: Graph) -> None:
-    # The guard on every walk over all independent sets of g.
-    if g.n > INDEPENDENT_ENUM_LIMIT:
-        raise InstanceTooLargeError(
-            f"n = {g.n} exceeds the independent-set enumeration limit"
-        )
-
-
 def independent_sets(g: Graph) -> Iterator[VertexSet]:
     """All independent sets, smallest first, lexicographic within a size.
 
     Includes the empty set.  Raises InstanceTooLargeError on the first
     item past INDEPENDENT_ENUM_LIMIT vertices.
     """
-    _check_independent_walk(g)
     for t, _ in _independent_from(g, 0):
         yield labels_of(t)
 
@@ -520,7 +527,6 @@ def max_independent_set(g: Graph) -> VertexSet:
     """A maximum independent set; ties break to the lexicographically
     smallest member list.  Brute force, so it raises InstanceTooLargeError
     past INDEPENDENT_ENUM_LIMIT vertices."""
-    _check_independent_walk(g)
     for k in range(g.n, 0, -1):
         for t, _ in _independent_of_size(g, k):
             return labels_of(t)

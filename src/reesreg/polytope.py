@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InstanceTooLargeError, InternalInvariantError, NoOddCycleError
@@ -26,7 +26,6 @@ from .graphs import (
     Graph,
     VertexSet,
     _bfs,
-    _check_independent_walk,
     _independent_from,
     is_bipartite,
     labels_of,
@@ -105,9 +104,8 @@ def _is_fundamental(h: Graph, t_mask: int, n_mask: int) -> bool:
 def _fundamental_pairs(h: Graph) -> list[tuple[int, int]]:
     # The fundamental independent sets T of h with N(T), as mask pairs, in
     # independent-set stream order (smallest first, lexicographic within a
-    # size).  The walk visits every independent set of h, so it is guarded
-    # like the brute-force witness search.
-    _check_independent_walk(h)
+    # size).  The walk visits every independent set of h, so its guard
+    # refuses h past INDEPENDENT_ENUM_LIMIT vertices.
     return [(t, nb) for t, nb in _independent_from(h, 1) if _is_fundamental(h, t, nb)]
 
 
@@ -126,12 +124,19 @@ class HalfSpaceSystem:
     `coord_constraints` lists the regular vertices i (inequality x_i >= 0);
     `set_constraints` holds pairs (T, N(T)) for the fundamental independent
     sets (inequality sum_T x <= sum_N x).  The hyperplane itself is
-    sum(x) = UNIT_COORDINATE_SUM * q at dilation q.
+    sum(x) = UNIT_COORDINATE_SUM * q at dilation q.  Every label must lie
+    in 1..ambient_n, else ValueError names the first one that does not.
     """
 
     ambient_n: int
     coord_constraints: tuple[int, ...]
     set_constraints: tuple[tuple[VertexSet, VertexSet], ...]
+
+    def __post_init__(self) -> None:
+        for side in (self.coord_constraints, *chain(*self.set_constraints)):
+            for v in side:
+                if not 1 <= v <= self.ambient_n:
+                    raise ValueError(f"label {v} not in 1..{self.ambient_n}")
 
     @cached_property
     def _search_index(self) -> _SearchIndex:
@@ -309,8 +314,7 @@ def point_membership(
     rules out implicit equalities, so strictness on the listed inequalities
     is exactly relative interiority.
     """
-    if q < 1:
-        raise ValueError(f"dilation q must be >= 1, got {q}")
+    _check_dilation(q)
     if len(point) != system.ambient_n:
         raise ValueError(
             f"point has {len(point)} coordinates, ambient is {system.ambient_n}"
@@ -328,10 +332,15 @@ def point_membership(
     return True
 
 
+def _check_dilation(q: int) -> None:
+    # A dilation is an int >= 1; a bool is not taken as one.
+    if isinstance(q, bool) or not isinstance(q, int) or q < 1:
+        raise ValueError(f"dilation q must be an integer >= 1, got {q!r}")
+
+
 def _check_enum_guard(ambient_n: int, q: int) -> None:
     # The one limit on lattice enumeration.
-    if q < 1:
-        raise ValueError(f"dilation q must be >= 1, got {q}")
+    _check_dilation(q)
     if ambient_n > ENUM_AMBIENT_LIMIT or q > ENUM_DILATION_LIMIT:
         raise InstanceTooLargeError(
             f"lattice enumeration limited to ambient <= {ENUM_AMBIENT_LIMIT}"

@@ -157,6 +157,15 @@ def test_parse_preserves_isolated_vertices():
     assert g.edges == ((2, 4),)
 
 
+def test_parse_drops_one_leading_byte_order_mark():
+    # An editor may save the file with a UTF-8 byte-order mark, which reads
+    # as U+FEFF.  Only one, at the very start, is dropped (the parse errors
+    # below include a second one and one on a later line).
+    text = write_graph(path(3))
+    assert parse_graph("\ufeff" + text) == path(3)
+    assert parse_graph("\ufeff# comment\n" + text) == path(3)
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -169,6 +178,8 @@ def test_parse_preserves_isolated_vertices():
         ("3 2\n1 2\n2 1\n", "duplicate"),
         ("3 1\n1 4\n", "out of range"),
         ("3 1\n1 x\n", "edge"),
+        ("\ufeff\ufeff3 1\n1 2\n", "line 1: header must be two integers"),
+        ("\n\ufeff3 1\n1 2\n", "line 2: header must be two integers"),
     ],
 )
 def test_parse_errors_mention_problem(text, fragment):
@@ -488,14 +499,16 @@ def test_max_independent_set_tiebreak_and_size():
 
 def test_independent_set_walks_are_guarded():
     # Each of these walks every independent set, so past
-    # INDEPENDENT_ENUM_LIMIT vertices it raises at once; the generator
-    # raises on its first item.  At the limit they still run.
+    # INDEPENDENT_ENUM_LIMIT vertices it raises at once; the generators
+    # raise on their first item, the bare walk's empty set included.  At
+    # the limit they still run.
     big = path(INDEPENDENT_ENUM_LIMIT + 1)
     stream = independent_sets(big)
     for first in (
         lambda: max_independent_set(big),
         lambda: independence_number(big),
         lambda: next(stream),
+        lambda: next(_independent_of_size(big, 0)),
     ):
         start = time.process_time()
         with pytest.raises(InstanceTooLargeError, match="n = 21 exceeds"):

@@ -235,6 +235,35 @@ def test_point_membership_validation():
         point_membership(system, 1, (1, 1))
 
 
+@pytest.mark.parametrize(
+    "coords, sets, label",
+    [
+        ((0,), (), 0),
+        ((3,), (), 3),
+        ((1,), (((5,), (1,)),), 5),
+        ((), (((1,), (2, -1)),), -1),
+        ((1, 3), (((5,), ()),), 3),
+    ],
+)
+def test_halfspace_system_rejects_labels_outside_the_ambient(coords, sets, label):
+    # A label outside 1..ambient_n would be read as another coordinate,
+    # ignored, or fail with a bare IndexError; the first one is named.
+    with pytest.raises(ValueError, match=rf"^label {label} not in 1\.\.2$"):
+        HalfSpaceSystem(2, coords, sets)
+    assert HalfSpaceSystem(2, (1, 2), (((1,), (2,)),)).ambient_n == 2
+
+
+@pytest.mark.parametrize("q", [0, -1, 1.5, 2.0, True, "2", None])
+def test_dilation_must_be_an_integer_at_least_one(q):
+    # A float or a bool is not rounded or taken as q = 1.
+    system = halfspace_system(complete(4))
+    for call in (lattice_points, interior_lattice_points):
+        with pytest.raises(ValueError, match="dilation q must be an integer >= 1"):
+            call(system, q)
+    with pytest.raises(ValueError, match="dilation q must be an integer >= 1"):
+        point_membership(system, q, (1, 1, 1, 1))
+
+
 def test_strictness_matches_interior_filter():
     # The strict points, filtered out of a brute-force walk of every point.
     system = halfspace_system(complete(4))

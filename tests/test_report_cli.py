@@ -156,6 +156,21 @@ def test_cli_classify_stdin(monkeypatch, capsys):
     assert "regularity           2" in out
 
 
+def test_cli_classify_reads_a_byte_order_mark(tmp_path, monkeypatch, capsys):
+    # A graph file saved with a UTF-8 byte-order mark classifies as the same
+    # file without one, read from its path and piped to "-".
+    data = b"\xef\xbb\xbf" + write_graph(cycle(4)).encode()
+    assert main(["classify", _write(tmp_path, "c4.txt", cycle(4))]) == 0
+    expected = capsys.readouterr().out
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(data)
+    assert main(["classify", str(bom)]) == 0
+    assert capsys.readouterr().out == expected
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert main(["classify", "-"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_cli_classify_plain_not_normal(tmp_path, capsys):
     g = disjoint_union(cycle(3), cycle(3))
     target = _write(tmp_path, "tt.txt", g)
