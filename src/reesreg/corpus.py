@@ -3,8 +3,8 @@
 For every graph the fast Tutte-Berge test must agree with the brute-force
 witness search, and for every normal graph with at least two edges the
 closed-form regularity must agree with the lattice-point oracle on the cone
-graph.  The oracle is skipped, and counted, on graphs whose cone graph is
-past its enumeration limit.
+graph.  The oracle is asked through `report.run_oracle`, which alone decides
+when it runs; a graph it refuses as too large is counted as an oracle skip.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Iterator
 from .decomposition import INDEPENDENT_ENUM_LIMIT, tutte_berge_bruteforce
 from .errors import InstanceTooLargeError
 from .graphs import Graph, _gnp
-from .polytope import ENUM_AMBIENT_LIMIT, compute_q0
 from .rees import RegularityStatus, regularity
+from .report import run_oracle
 
 # Largest n an exhaustive sweep walks: n = 7 alone is 2^21 labeled graphs,
 # and n = 8 is 2^28.
@@ -102,9 +102,8 @@ class GraphCheck:
 def check_graph(g: Graph) -> GraphCheck:
     """Run both corpus assertions on one graph.
 
-    The oracle runs only when the cone graph (n + 1 vertices) is within
-    ENUM_AMBIENT_LIMIT; otherwise the regularity check is skipped and the
-    result says so.
+    The regularity check asks `run_oracle`; when it refuses the graph with
+    InstanceTooLargeError, the check is skipped and the result says so.
     """
     failures = []
     reg = regularity(g)
@@ -119,19 +118,20 @@ def check_graph(g: Graph) -> GraphCheck:
                 detail=f"fast says {fast}, brute-force witness is {witness}",
             )
         )
-    computed = reg.status is RegularityStatus.COMPUTED
-    oracle_skipped = computed and g.n + 1 > ENUM_AMBIENT_LIMIT
-    if computed and not oracle_skipped:
-        oracle = compute_q0(g)
-        if oracle.reg != reg.reg:
-            failures.append(
-                CorpusFailure(
-                    n=g.n,
-                    edges=g.edges,
-                    check="regularity",
-                    detail=f"formula says {reg.reg}, oracle says {oracle.reg} (q0={oracle.q0})",
-                )
+    oracle_skipped = False
+    try:
+        oracle, _ = run_oracle(g, reg)
+    except InstanceTooLargeError:
+        oracle, oracle_skipped = None, True
+    if oracle is not None and oracle.reg != reg.reg:
+        failures.append(
+            CorpusFailure(
+                n=g.n,
+                edges=g.edges,
+                check="regularity",
+                detail=f"formula says {reg.reg}, oracle says {oracle.reg} (q0={oracle.q0})",
             )
+        )
     return GraphCheck(
         tutte_berge=fast,
         normal=reg.status is not RegularityStatus.NOT_NORMAL,

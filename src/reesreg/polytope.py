@@ -124,8 +124,10 @@ class HalfSpaceSystem:
     `coord_constraints` lists the regular vertices i (inequality x_i >= 0);
     `set_constraints` holds pairs (T, N(T)) for the fundamental independent
     sets (inequality sum_T x <= sum_N x).  The hyperplane itself is
-    sum(x) = UNIT_COORDINATE_SUM * q at dilation q.  Every label must lie
-    in 1..ambient_n, else ValueError names the first one that does not.
+    sum(x) = UNIT_COORDINATE_SUM * q at dilation q.  `ambient_n` must be
+    an int >= 0 and every label an int in 1..ambient_n, else ValueError
+    names the first value that is not; a bool or a float is not taken as
+    an int.
     """
 
     ambient_n: int
@@ -133,10 +135,13 @@ class HalfSpaceSystem:
     set_constraints: tuple[tuple[VertexSet, VertexSet], ...]
 
     def __post_init__(self) -> None:
+        n = self.ambient_n
+        if not _is_int(n) or n < 0:
+            raise ValueError(f"ambient_n must be an integer >= 0, got {n!r}")
         for side in (self.coord_constraints, *chain(*self.set_constraints)):
             for v in side:
-                if not 1 <= v <= self.ambient_n:
-                    raise ValueError(f"label {v} not in 1..{self.ambient_n}")
+                if not _is_int(v) or not 1 <= v <= n:
+                    raise ValueError(f"label {v!r} not in 1..{n}")
 
     @cached_property
     def _search_index(self) -> _SearchIndex:
@@ -332,9 +337,14 @@ def point_membership(
     return True
 
 
+def _is_int(x: object) -> bool:
+    # An int that is not a bool.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_dilation(q: int) -> None:
     # A dilation is an int >= 1; a bool is not taken as one.
-    if isinstance(q, bool) or not isinstance(q, int) or q < 1:
+    if not _is_int(q) or q < 1:
         raise ValueError(f"dilation q must be an integer >= 1, got {q!r}")
 
 

@@ -72,41 +72,24 @@ class ClassificationReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassificationReport":
-        reg = d["regularity"]
-        oracle = d["oracle"]
+        # `to_dict` is the one statement of the layout: what it nests or
+        # types is rebuilt here, and every other key is passed on by name,
+        # so a key with no field raises TypeError.
+        d = dict(d)
+        ge, reg, oracle, witness, timings = (
+            d.pop(k) for k in ("ge", "regularity", "oracle", "tb_witness", "timings")
+        )
+        if oracle is not None:
+            oracle = OracleResult(**{**oracle, "interior_witness": tuple(oracle["interior_witness"])})
         return cls(
-            n=d["n"],
-            m=d["m"],
-            mat=d["mat"],
-            deficiency=d["deficiency"],
-            bipartite=d["bipartite"],
-            perfect_matching=d["perfect_matching"],
-            factor_critical=d["factor_critical"],
-            konig=d["konig"],
-            tutte_berge=d["tutte_berge"],
-            ge_d=tuple(d["ge"]["d"]),
-            ge_a=tuple(d["ge"]["a"]),
-            ge_c=tuple(d["ge"]["c"]),
-            odd_cycle_condition=d["odd_cycle_condition"],
-            rees_normal=d["rees_normal"],
-            regularity=RegularityResult(
-                status=RegularityStatus(reg["status"]),
-                mat=reg["mat"],
-                tutte_berge=reg["tutte_berge"],
-                reg=reg["reg"],
-            ),
-            tb_witness=tuple(d["tb_witness"]) if d["tb_witness"] is not None else None,
-            oracle=(
-                OracleResult(
-                    q0=oracle["q0"],
-                    interior_witness=tuple(oracle["interior_witness"]),
-                    reg=oracle["reg"],
-                )
-                if oracle is not None
-                else None
-            ),
-            oracle_note=d["oracle_note"],
-            timings=dict(d["timings"]),
+            ge_d=tuple(ge["d"]),
+            ge_a=tuple(ge["a"]),
+            ge_c=tuple(ge["c"]),
+            regularity=RegularityResult(**{**reg, "status": RegularityStatus(reg["status"])}),
+            tb_witness=None if witness is None else tuple(witness),
+            oracle=oracle,
+            timings=dict(timings),
+            **d,
         )
 
     @classmethod
@@ -200,7 +183,8 @@ def oracle_dict(oracle: OracleResult | None) -> dict | None:
 
 def run_oracle(g: Graph, reg: RegularityResult) -> tuple[OracleResult | None, str | None]:
     """The oracle's result when the closed form `reg` of g is computed;
-    otherwise None and a note that says why the oracle was skipped."""
+    otherwise None and a note that says why the oracle was skipped.  Raises
+    InstanceTooLargeError when the oracle refuses g as too large."""
     if reg.status is RegularityStatus.TOO_FEW_EDGES:
         return None, "oracle skipped: graph has fewer than two edges"
     if reg.status is RegularityStatus.NOT_NORMAL:

@@ -243,14 +243,27 @@ def test_point_membership_validation():
         ((1,), (((5,), (1,)),), 5),
         ((), (((1,), (2, -1)),), -1),
         ((1, 3), (((5,), ()),), 3),
+        ((1.5,), (), 1.5),
+        ((True,), (), True),
+        ((), (((1,), (2.0,)),), 2.0),
     ],
 )
 def test_halfspace_system_rejects_labels_outside_the_ambient(coords, sets, label):
     # A label outside 1..ambient_n would be read as another coordinate,
-    # ignored, or fail with a bare IndexError; the first one is named.
-    with pytest.raises(ValueError, match=rf"^label {label} not in 1\.\.2$"):
+    # ignored, or fail with a bare IndexError or TypeError; a float or a
+    # bool is not taken as an int label.  The first one is named.
+    with pytest.raises(ValueError, match=rf"^label {label!r} not in 1\.\.2$"):
         HalfSpaceSystem(2, coords, sets)
     assert HalfSpaceSystem(2, (1, 2), (((1,), (2,)),)).ambient_n == 2
+
+
+@pytest.mark.parametrize("ambient_n", [-1, 2.0, True, "2", None])
+def test_halfspace_system_rejects_an_ambient_that_is_not_an_int_at_least_zero(ambient_n):
+    # -1 failed with a bare IndexError in the search, 2.0 with a TypeError,
+    # and True was taken as ambient 1.
+    with pytest.raises(ValueError, match=rf"^ambient_n must be an integer >= 0, got {ambient_n!r}$"):
+        HalfSpaceSystem(ambient_n, (), ())
+    assert lattice_points(HalfSpaceSystem(0, (), ()), 1) == ()
 
 
 @pytest.mark.parametrize("q", [0, -1, 1.5, 2.0, True, "2", None])

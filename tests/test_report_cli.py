@@ -17,6 +17,7 @@ from reesreg import (
     ClassificationReport,
     Graph,
     InstanceTooLargeError,
+    InternalInvariantError,
     RegularityStatus,
     build_report,
     complete,
@@ -34,6 +35,8 @@ from reesreg import cli, matching, polytope, rees
 from reesreg.cli import main
 from reesreg.corpus import (
     EXHAUSTIVE_N_LIMIT,
+    CorpusFailure,
+    CorpusSummary,
     check_graph,
     corpus_run,
     exhaustive_graphs,
@@ -74,6 +77,34 @@ def test_report_round_trip_and_timing_equality():
         "witness",
         "oracle",
     }
+
+
+@pytest.mark.parametrize("with_witness", [False, True])
+@pytest.mark.parametrize("with_oracle", [False, True])
+@pytest.mark.parametrize(
+    "g",
+    [paper_example(), disjoint_union(cycle(3), cycle(3)), path(2)],
+    ids=["computed", "not_normal", "too_few_edges"],
+)
+def test_report_round_trips_every_shape(g, with_oracle, with_witness):
+    # Each status, with the oracle and the witness each present, skipped or
+    # off, comes back field for field, timings and types included.
+    r = build_report(g, with_oracle=with_oracle, with_witness=with_witness)
+    again = ClassificationReport.from_dict(json.loads(r.to_json()))
+    assert again == r
+    assert again.timings == r.timings
+    assert again.to_json() == r.to_json()
+
+
+def test_report_from_dict_refuses_a_key_with_no_field():
+    # A key that the report does not have is an error, not dropped; so is
+    # one inside the nested regularity and oracle records.
+    d = build_report(paper_example(), with_oracle=True).to_dict()
+    with pytest.raises(TypeError, match="'extra'"):
+        ClassificationReport.from_dict({**d, "extra": 1})
+    for nested in ("regularity", "oracle"):
+        with pytest.raises(TypeError, match="'extra'"):
+            ClassificationReport.from_dict({**d, nested: {**d[nested], "extra": 1}})
 
 
 def test_report_oracle_skip_notes():
@@ -145,6 +176,88 @@ def test_cli_gen_disjoint_union(tmp_path, capsys):
     b = _write(tmp_path, "b.txt", path(3))
     assert main(["gen", "disjoint-union", a, b]) == 0
     assert capsys.readouterr().out == write_graph(disjoint_union(cycle(3), path(3)))
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (
+            paper_example(),
+            """\
+n 7  m 9
+matching number      3
+deficiency           1
+bipartite            False
+perfect matching     False
+factor critical      False
+konig                False
+tutte-berge          True
+gallai-edmonds D     [1, 2]
+gallai-edmonds A     [3]
+gallai-edmonds C     [4, 5, 6, 7]
+odd cycle condition  True
+rees normal          True
+regularity           3
+tutte-berge witness  [1, 2]
+oracle               q0 5, witness [1, 1, 1, 1, 1, 1, 1, 3], reg 3
+""",
+        ),
+        (
+            cycle(5),
+            """\
+n 5  m 5
+matching number      2
+deficiency           1
+bipartite            False
+perfect matching     False
+factor critical      True
+konig                False
+tutte-berge          False
+gallai-edmonds D     [1, 2, 3, 4, 5]
+gallai-edmonds A     []
+gallai-edmonds C     []
+odd cycle condition  True
+rees normal          True
+regularity           3
+tutte-berge witness  none (not tutte-berge)
+oracle               q0 3, witness [1, 1, 1, 1, 1, 1], reg 3
+""",
+        ),
+        (
+            disjoint_union(cycle(3), cycle(3)),
+            """\
+n 6  m 6
+matching number      2
+deficiency           2
+bipartite            False
+perfect matching     False
+factor critical      False
+konig                False
+tutte-berge          False
+gallai-edmonds D     [1, 2, 3, 4, 5, 6]
+gallai-edmonds A     []
+gallai-edmonds C     []
+odd cycle condition  False
+rees normal          False
+regularity           n/a (not_normal)
+tutte-berge witness  none (not tutte-berge)
+oracle               oracle skipped: Rees algebra is not normal
+""",
+        ),
+    ],
+    ids=["paper_example", "c5", "two_triangles"],
+)
+def test_cli_classify_text_with_witness_and_oracle(g, expected, tmp_path, capsys):
+    assert main(["classify", _write(tmp_path, "g.txt", g), "--witness", "--oracle"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_cli_gen_disjoint_union_needs_two_files(tmp_path, capsys):
+    a = _write(tmp_path, "a.txt", cycle(3))
+    assert main(["gen", "disjoint-union", a]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: disjoint-union takes two graph files\n"
 
 
 def test_cli_classify_stdin(monkeypatch, capsys):
@@ -320,8 +433,9 @@ def test_oracle_report_runs_the_odd_cycle_condition_once(tmp_path, monkeypatch, 
 
 
 def test_the_oracle_has_one_door(tmp_path, monkeypatch, capsys):
-    # The report and the CLI reach the lattice oracle through compute_q0
-    # alone, once a graph, and only when the closed form is computed.
+    # The report, the CLI and the corpus reach the lattice oracle through
+    # compute_q0 alone, once a graph, and only when the closed form is
+    # computed.
     calls = []
 
     def counted(g):
@@ -338,11 +452,15 @@ def test_the_oracle_has_one_door(tmp_path, monkeypatch, capsys):
     assert main(["regularity", target, "--oracle"]) == 0
     assert "agreement    True" in capsys.readouterr().out
     assert len(calls) == 1
+    calls.clear()
+    assert check_graph(g).failures == ()
+    assert calls == [g]
     for skipped in (disjoint_union(cycle(3), cycle(3)), path(2)):
         assert build_report(skipped, with_oracle=True).oracle is None
         assert main(["regularity", _write(tmp_path, "skip.txt", skipped), "--oracle"]) == 0
         assert "oracle skipped" in capsys.readouterr().out
-    assert len(calls) == 1
+        assert not check_graph(skipped).oracle_skipped
+    assert calls == [g]
 
 
 def test_check_graph_computes_each_fact_once(monkeypatch):
@@ -439,6 +557,47 @@ def test_cli_corpus_skips_the_oracle_past_its_limit(capsys):
     assert data["failures"] == []
     assert main(argv) == 0
     assert "oracle skipped     6" in capsys.readouterr().out
+
+
+def test_corpus_asks_the_oracle_whether_it_runs(monkeypatch):
+    # The corpus states no size rule of its own.  With the oracle's ambient
+    # limit lowered to 8, the computed graphs with n >= 8 are the ones the
+    # oracle refuses, and the sweep counts them instead of raising.
+    monkeypatch.setattr(polytope, "ENUM_AMBIENT_LIMIT", 8)
+    refused = sum(
+        g.n >= 8 and regularity(g).status is RegularityStatus.COMPUTED
+        for g in random_graphs(9, 60, seed=1)
+    )
+    summary = corpus_run(max_n=9, random_samples=60, seed=1)
+    assert (summary.graphs_tested, summary.oracle_skipped, summary.failures) == (60, 15, ())
+    assert summary.oracle_skipped == refused
+
+
+def test_cli_corpus_text_prints_each_failure_and_exits_1(monkeypatch, capsys):
+    failure = CorpusFailure(
+        n=3, edges=((1, 2), (2, 3)), check="regularity", detail="formula says 2, oracle says 1"
+    )
+    summary = CorpusSummary(graphs_tested=4, normal_count=4, tutte_berge_count=3, failures=(failure,))
+    monkeypatch.setattr(cli, "corpus_run", lambda **kwargs: summary)
+    assert main(["corpus", "--max-n", "3"]) == 1
+    assert capsys.readouterr().out == (
+        "graphs tested      4\n"
+        "normal             4\n"
+        "tutte-berge        3\n"
+        "failures           1\n"
+        "  FAIL regularity on n=3 edges=[(1, 2), (2, 3)]: formula says 2, oracle says 1\n"
+    )
+
+
+def test_cli_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InternalInvariantError("blossom lost a vertex")
+
+    monkeypatch.setattr(cli, "build_report", broken)
+    assert main(["classify", _write(tmp_path, "c5.txt", cycle(5))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: blossom lost a vertex\n"
 
 
 @pytest.mark.parametrize(
