@@ -50,9 +50,12 @@ class Graph:
     """Simple undirected graph on vertices 1..n.
 
     The constructor is the one check of a graph's edges: they must be sorted
-    (u, v) pairs with 1 <= u < v <= n and no repeats, else ValueError.  Edges
-    given as a list, or as pairs that are not tuples, are stored as a tuple
-    of tuples.  `Graph.from_edges` orients and sorts arbitrary input.
+    (u, v) pairs with 1 <= u < v <= n and no repeats, else ValueError.  n and
+    every label must be of type int: a bool, a float or any other type is
+    refused by a ValueError that names it, so every graph that is accepted
+    writes out and parses back.  Edges given as a list, or as pairs that
+    are not tuples, are stored as a tuple of tuples.  `Graph.from_edges`
+    orients and sorts arbitrary input.
 
     `_facts` keeps what the package has computed about this graph, so that
     each fact is computed once however many callers ask: the blossom run
@@ -67,11 +70,12 @@ class Graph:
     _facts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {self.n}")
+        n = self.n
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertex count must be an int >= 0, got {n!r}")
         if type(self.edges) is not tuple:
             object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
-        bits = [0] * (self.n + 1)
+        bits = [0] * (n + 1)
         prev = (0, 0)
         for e in self.edges:
             if type(e) is not tuple:
@@ -79,9 +83,12 @@ class Graph:
                 object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
                 self.__post_init__()
                 return
-            u, v = e
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"edge {e} is not a pair 1 <= u < v <= {self.n}")
+            try:
+                u, v = e
+            except ValueError:
+                raise ValueError(f"edge {e!r} is not a pair") from None
+            if type(u) is not int or type(v) is not int or not 1 <= u < v <= n:
+                raise ValueError(f"edge {e!r} is not a pair of ints 1 <= u < v <= {n}")
             if e <= prev:
                 raise ValueError(f"edges not sorted/unique at {e}")
             prev = e
@@ -345,11 +352,18 @@ def _bfs(g: Graph, mask: int) -> Iterator[tuple[int, list[int], bool]]:
     Yields one (component, layers, bipartite) triple per component, ordered
     by smallest member; `layers` are the BFS layers from that member, as
     masks.  Every edge joins a layer to itself or to the next one, so a
-    component is bipartite exactly when no edge lies inside a layer.
+    component is bipartite exactly when no edge lies inside a layer.  A
+    vertex with no neighbor in `mask` is its own component, found without
+    a layer walk.
     """
+    adj = g.adj_bits
     left = mask
     while left:
         frontier = left & -left
+        if not adj[frontier.bit_length() - 1] & mask:
+            yield frontier, [frontier], True
+            left ^= frontier
+            continue
         comp = 0
         layers = []
         bipartite = True
@@ -403,18 +417,20 @@ def bipartite_check(g: Graph) -> BipartiteCheck:
     sides = [0, 0]
     for _, layers, bipartite in _bfs(g, g.full_mask):
         if not bipartite:
-            return BipartiteCheck(False, None, _odd_walk(g, layers))
+            walk = _odd_walk(g, layers)
+            return BipartiteCheck(False, None, tuple(x.bit_length() - 1 for x in walk))
         for k, layer in enumerate(layers):
             sides[k & 1] |= layer
     return BipartiteCheck(True, (labels_of(sides[0]), labels_of(sides[1])), None)
 
 
-def _odd_walk(g: Graph, layers: list[int]) -> tuple[int, ...]:
+def _odd_walk(g: Graph, layers: list[int]) -> list[int]:
     """An odd closed walk of the non-bipartite component with BFS `layers`
-    (as `_bfs` yields them), first vertex repeated last.  It takes the
-    lowest vertex u of the first layer k that holds an edge, its lowest
-    neighbor w in that layer, and from each of u and w the path down
-    through layers k - 1, ..., 0 by lowest neighbors: 2k + 1 edges."""
+    (as `_bfs` yields them), first vertex repeated last, each vertex as its
+    one-bit mask.  It takes the lowest vertex u of the first layer k that
+    holds an edge, its lowest neighbor w in that layer, and from each of u
+    and w the path down through layers k - 1, ..., 0 by lowest neighbors:
+    2k + 1 edges."""
     adj = g.adj_bits
     for k, layer in enumerate(layers):
         rest = layer
@@ -422,7 +438,6 @@ def _odd_walk(g: Graph, layers: list[int]) -> tuple[int, ...]:
             rest &= rest - 1
         if rest:
             break
-    # The walk's vertices are one-bit masks until the end.
     u = rest & -rest
     w = adj[u.bit_length() - 1] & layer
     up, down = [u], [w & -w]
@@ -431,7 +446,7 @@ def _odd_walk(g: Graph, layers: list[int]) -> tuple[int, ...]:
         b = adj[down[-1].bit_length() - 1] & prev
         up.append(a & -a)
         down.append(b & -b)
-    return tuple(x.bit_length() - 1 for x in up + down[-2::-1] + up[:1])
+    return up + down[-2::-1] + up[:1]
 
 
 def is_bipartite(g: Graph) -> bool:

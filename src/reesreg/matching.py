@@ -3,17 +3,21 @@
 `max_matching` is an unweighted blossom search (alternating BFS with cycle
 contraction).  Roots are tried in ascending label order and adjacency is
 scanned in ascending label order, so the returned matching itself is
-deterministic, not just its size.  A search costs its own tree, not the
-graph: the `parent` and `base` arrays are allocated once per call and
-shared by its searches, each of which resets only the entries of its tree.
+deterministic, not just its size.  A search costs its own tree and its
+blossoms, not the graph: the `parent` and `base` arrays are allocated once
+per call and shared by its searches, each of which resets only the entries
+of its tree, kept as a list.  A contraction relabels only the vertices it
+merges, read from the member masks of the blossoms' bases, not from a walk
+of the tree, and a vertex's scan skips the members of its own blossom.
 The same run yields D(G), the vertices missed by some maximum matching: a
 search that fails is never touched again, because no later augmenting path
 enters its tree (Edmonds 1965), so its tree and root are those of the final
-matching, and D(G) is the union of the failed searches' outer sets.  The
-run is made once per graph: the matching and D(G) are stored in the
-graph's `_facts`, where every later caller reads them.  The Konig test
-and the first maximum independent set of a Konig graph are one 2-SAT walk
-on one maximum matching.
+matching, and D(G) is the union of the failed searches' outer sets, with
+each isolated vertex, which needs no search.  The run is made once per
+graph: the matching and D(G) are stored in the graph's `_facts`, where
+every later caller reads them.  The Konig test and the first maximum
+independent set of a Konig graph are one 2-SAT walk on one maximum
+matching.
 """
 
 from __future__ import annotations
@@ -75,6 +79,8 @@ def _blossom(g: Graph) -> tuple[Matching, int]:
         if rest:
             near = (rest & -rest).bit_length() - 1
             mate[root], mate[near] = near, root
+        elif not adj[root]:
+            d |= 1 << root
         else:
             # A failed search's mask holds its root, so it is never 0.
             d |= _try_augment(g, mate, root, parent, base) or 0
@@ -97,11 +103,14 @@ def _try_augment(
     # `parent` and `base` are the caller's, shared by all its searches: they
     # read 0 and the identity outside the tree, and the search resets the
     # entries of its tree (`tree`, inner and outer vertices) before it
-    # returns, so it costs what its tree costs.
+    # returns.  `members` maps the base of each contracted blossom to the
+    # mask of the tree vertices with that base; a base that is missing has
+    # only itself.  So a contraction relabels only what it merges, and a
+    # search costs its tree and its blossoms.
     adj = g.adj_bits
-    if not adj[root]:
-        return 1 << root
-    used = tree = 1 << root
+    used = 1 << root
+    tree = [root]
+    members: dict[int, int] = {}
     queue = deque([root])
 
     def find_base(a: int, b: int) -> int:
@@ -119,19 +128,23 @@ def _try_augment(
             b = parent[mate[b]]
 
     def mark_path(v: int, b: int, child: int) -> int:
-        # The mask of the bases on the tree path from v down to base b.
-        blossom = 0
+        # The members of the bases on the tree path from v down to base b,
+        # which leave `members`.
+        moved = 0
         while base[v] != b:
-            blossom |= 1 << base[v] | 1 << base[mate[v]]
+            x, y = base[v], base[mate[v]]
+            moved |= members.pop(x, 1 << x) | members.pop(y, 1 << y)
             parent[v] = child
             child = mate[v]
             v = parent[mate[v]]
-        return blossom
+        return moved
 
     try:
         while queue:
             v = queue.popleft()
-            rest = adj[v]
+            # A neighbor in v's own blossom stays there: blossoms only merge.
+            own = members.get(base[v])
+            rest = adj[v] & ~own if own else adj[v]
             while rest:
                 low = rest & -rest
                 rest ^= low
@@ -140,24 +153,23 @@ def _try_augment(
                     continue
                 if to == root or (mate[to] != 0 and parent[mate[to]] != 0):
                     # Odd cycle: contract the blossom through the common
-                    # base.  Only tree vertices can have their base in it,
-                    # and the tree is walked in ascending label order.
+                    # base, relabelling its members in ascending order.  The
+                    # base keeps the members it had: a later contraction
+                    # through it must relabel them too.
                     cur_base = find_base(v, to)
-                    blossom = mark_path(v, cur_base, to)
-                    blossom |= mark_path(to, cur_base, v)
-                    walk = tree
-                    while walk:
-                        bit = walk & -walk
-                        walk ^= bit
+                    moved = mark_path(v, cur_base, to) | mark_path(to, cur_base, v)
+                    members[cur_base] = members.get(cur_base, 1 << cur_base) | moved
+                    while moved:
+                        bit = moved & -moved
+                        moved ^= bit
                         i = bit.bit_length() - 1
-                        if blossom >> base[i] & 1:
-                            base[i] = cur_base
-                            if not used & bit:
-                                used |= bit
-                                queue.append(i)
+                        base[i] = cur_base
+                        if not used & bit:
+                            used |= bit
+                            queue.append(i)
                 elif parent[to] == 0:
                     parent[to] = v
-                    tree |= low
+                    tree.append(to)
                     if mate[to] == 0:
                         # Augmenting path: flip it back to the root.
                         while to != 0:
@@ -167,17 +179,13 @@ def _try_augment(
                             mate[to] = pv
                             to = next_exposed
                         return None
-                    outer = 1 << mate[to]
-                    used |= outer
-                    tree |= outer
-                    queue.append(mate[to])
+                    outer = mate[to]
+                    used |= 1 << outer
+                    tree.append(outer)
+                    queue.append(outer)
         return used
     finally:
-        rest = tree
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            i = low.bit_length() - 1
+        for i in tree:
             parent[i] = 0
             base[i] = i
 

@@ -14,9 +14,11 @@ refutation (2b) at the start of the third, each sound on its own:
 1. A bipartite graph has no odd cycle, so it passes.
 2. Refute first.  The BFS layers of the first non-bipartite component close
    a short odd closed walk W (2k + 1 edges; `graphs._odd_walk`, which also
-   gives `bipartite_check` its walk).  W contains an odd cycle C, and N[C]
-   lies in N[W], so an odd cycle of G - N[W] is disjoint from C and not
-   joined to it: the graph fails.
+   gives `bipartite_check` its walk, and gives this stage its vertices as
+   one-bit masks).  W contains an odd cycle C, and N[C] lies in N[W], so
+   an odd cycle of G - N[W] is disjoint from C and not joined to it: the
+   graph fails.  The test leaves out the components that stage 1 already
+   found bipartite: they lie outside N[W] and hold no odd cycle.
 3. Exact search, inside the first non-bipartite component K only: W lies
    in K, so G - N[W] holds every other component, and stage 2 found it
    bipartite, so every odd cycle lies in K.  A violating pair of odd
@@ -30,6 +32,8 @@ refutation (2b) at the start of the third, each sound on its own:
      So a start s is tried only in a non-bipartite block (one
      Hopcroft-Tarjan pass finds the blocks), and its paths grow only
      inside the non-bipartite blocks that hold s, through vertices above s.
+   - C2 lies in {v > s} - N[s], so a start with fewer than three vertices
+     there is skipped before any other test (on K_n, every start is).
    - C2 lies in {v > s}, and that set shrinks as s grows, so the starts
      stop once G[{v > s}] is bipartite.
    - C2 lies in {v > s} - N[P] for every prefix P of C1, and that set
@@ -65,8 +69,6 @@ from .graphs import (
     _odd_walk,
     labels_of,
     mask_is_bipartite,
-    mask_of,
-    neighbor_mask,
 )
 from .matching import matching_number
 
@@ -124,16 +126,29 @@ def _over_budget() -> InstanceTooLargeError:
 
 
 def _odd_cycle_condition(g: Graph) -> tuple[bool, int]:
-    # The stages: the answer and the induced paths stage 3 grew.
-    full = g.full_mask
-    odd = next(((c, lay) for c, lay, bipartite in _bfs(g, full) if not bipartite), None)
-    if odd is None:
+    # The stages: the answer and the induced paths stage 3 grew.  `seen`
+    # holds the components stage 1 found bipartite, which stage 2 leaves
+    # out of its test.
+    seen = 0
+    for comp, layers, bipartite in _bfs(g, g.full_mask):
+        if not bipartite:
+            break
+        seen |= comp
+    else:
         return True, 0
-    comp, layers = odd
-    walk = mask_of(_odd_walk(g, layers))
-    if not mask_is_bipartite(g, full & ~walk & ~neighbor_mask(g, walk)):
+    if _walk_refutes(g, layers, g.full_mask & ~seen):
         return False, 0
     return _chordless_search(g, comp)
+
+
+def _walk_refutes(g: Graph, layers: list[int], rest: int) -> bool:
+    """Stage 2's test: is g[rest - N[W]] non-bipartite, where W is the odd
+    walk that the BFS `layers` of a non-bipartite component close?"""
+    adj = g.adj_bits
+    near = 0
+    for bit in _odd_walk(g, layers):
+        near |= bit | adj[bit.bit_length() - 1]
+    return not mask_is_bipartite(g, rest & ~near)
 
 
 def _odd_part(g: Graph, mask: int) -> int:
@@ -198,9 +213,7 @@ def _far_side_refutes(g: Graph, comp: int, live: int) -> bool:
     with g[comp - N[W]] non-bipartite?  `live` must be a union of
     non-bipartite components inside `comp`, the component that holds every
     odd cycle of g."""
-    layers = next(_bfs(g, live))[1]
-    walk = mask_of(_odd_walk(g, layers))
-    return not mask_is_bipartite(g, comp & ~walk & ~neighbor_mask(g, walk))
+    return _walk_refutes(g, next(_bfs(g, live))[1], comp)
 
 
 def _chordless_search(g: Graph, comp: int) -> tuple[bool, int]:
@@ -223,11 +236,14 @@ def _chordless_search(g: Graph, comp: int) -> tuple[bool, int]:
     steps = 0
     for s in labels_of(comp):
         above = comp & ~((2 << s) - 1)
+        s_adj = adj[s]
+        # An odd cycle beyond N[s] needs three vertices there.
+        if (above & ~s_adj).bit_count() < 3:
+            continue
         if in_block is not None and not in_block[s] & above:
             continue
         if mask_is_bipartite(g, above):
             break
-        s_adj = adj[s]
         live = _odd_part(g, above & ~s_adj)
         if not live:
             continue

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -129,11 +130,23 @@ def test_graph_from_a_list_is_frozen_and_hashable():
         (3, [(1, 4)]),
         (3, [(0, 2)]),
         (-1, []),
+        # Graphs that would not write out and parse back: `True 2` is no
+        # edge line, and a bool or float vertex count is no header.
+        (3, [(True, 2)]),
+        (True, []),
+        (2.0, []),
+        (2, [(1, 2.0)]),
+        (3, [(1, 2, 3)]),
     ],
 )
 def test_graph_rejects_bad_input(n, edges):
     with pytest.raises(ValueError):
         Graph.from_edges(n, edges)
+    # The constructor names the value it refuses: in every case here, the
+    # last edge, or n when there is none.
+    named = repr(tuple(edges[-1])) if edges else repr(n)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        Graph(n, edges)
 
 
 def test_parse_basic_with_comments_and_blanks():

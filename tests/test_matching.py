@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import time
 
@@ -27,6 +28,7 @@ from reesreg import (
     paper_example,
     path,
     random_graph,
+    rees,
 )
 from reesreg.corpus import all_graphs
 
@@ -116,6 +118,26 @@ def test_long_path_and_cycle_match_in_linear_time():
     assert ge.d_set == tuple(c.vertices)
 
 
+def test_sparse_random_graph_matches_in_time_of_its_blossoms():
+    # A contraction must relabel only the vertices it merges: one that
+    # walked its whole search tree took about 9 s of CPU on a 2-core x86-64
+    # VM.  The edges are drawn in linear time (`random_graph` is quadratic
+    # in n).
+    rng = random.Random(11)
+    edges = set()
+    while len(edges) < 15_000:
+        u, v = sorted(rng.sample(range(1, 10_001), 2))
+        edges.add((u, v))
+    g = Graph(10_000, tuple(sorted(edges)))
+    start = time.process_time()
+    ge = gallai_edmonds(g)
+    m = max_matching(g)
+    assert time.process_time() - start < 3.0
+    covered = set(m.covered)
+    assert len(covered) == 2 * m.size and set(m.edges) <= set(g.edges)
+    assert set(g.vertices) - covered <= set(ge.d_set)
+
+
 def test_konig_property():
     for g in (path(4), cycle(6), complete_bipartite(3, 4)):
         assert is_konig(g)
@@ -145,11 +167,14 @@ def test_factor_critical_neighbor_bound_spot_checks():
 
 # sha256 of the outputs below over `_pinned_graphs`, one repr per line.  The
 # witness and the report read this exact matching and walk, so a change of
-# scan order must fail here and not only in the benchmark digests.
+# scan order must fail here and not only in the benchmark digests.  The odd
+# cycle condition's digest covers its answer and the induced paths its
+# search grew, which the step budget replays, over `_grown_path_graphs` too.
 PINNED_DIGESTS = {
     "max_matching": "404edda32e9d4d80c9e4abbcd123331ecf2d174770b56df64cf7fbb714429f24",
     "gallai_edmonds": "ed0bdb02676fe3bea8361d3b7d2bc14cda4d91a3016d78c57766e1d0c98d7f1e",
     "bipartite_check": "deb6427c4534d18117a781b4adfd0f6c8021b498a17ccf6ffc88bdaf9401c802",
+    "odd_cycle_condition": "c99803738cfe7ce510f4fe5b0109ec8296b2d02c571c35829c87749f4d9b495c",
 }
 
 
@@ -162,7 +187,18 @@ def _pinned_graphs():
                 yield random_graph(n, c / n, seed)
 
 
+def _grown_path_graphs():
+    # The search grows induced paths on 53 of these graphs and on only 4 of
+    # `_pinned_graphs`.
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(16, 31)
+        yield random_graph(n, rng.uniform(0.1, 0.4), seed=rng.randrange(1 << 30))
+
+
 def _pinned_view(name, g):
+    if name == "odd_cycle_condition":
+        return rees._odd_cycle_condition(g)
     if name == "max_matching":
         return max_matching(g).edges
     if name == "gallai_edmonds":
@@ -175,6 +211,7 @@ def _pinned_view(name, g):
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
 def test_blossom_and_odd_walk_outputs_are_pinned(name):
     h = hashlib.sha256()
-    for g in _pinned_graphs():
+    grown = _grown_path_graphs() if name == "odd_cycle_condition" else ()
+    for g in itertools.chain(_pinned_graphs(), grown):
         h.update(repr(_pinned_view(name, g)).encode() + b"\n")
     assert h.hexdigest() == PINNED_DIGESTS[name]
