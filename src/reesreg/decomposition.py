@@ -7,14 +7,14 @@ ch. 3).  The blossom run that finds the matching has run those searches
 already: no later augmenting path enters a failed search's tree, so the
 tree and its exposed root survive to the final matching, and D is the
 union of the outer sets its failed searches return.  A(G) collects the
-outside neighbors of D; C(G) is everything else.  A vertex of D with no
-neighbor in D is a component of D by itself, and only the rest of D is
-searched for its components.
+outside neighbors of D; C(G) is everything else.
 
 A graph is called Tutte-Berge when some independent set T attains
 |T| = |N(T)| + |V| - 2 mat(G), the maximum possible value.  That holds
 exactly when every component of the subgraph induced on D(G) is a single
-vertex, that is, when no edge has both ends in D(G).
+vertex, that is, when no edge has both ends in D(G).  The witness is then
+D together with the first maximum independent set of the bipartite
+components of G[C], found by one 2-SAT walk.
 """
 
 from __future__ import annotations
@@ -71,24 +71,11 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
     d_mask = _matching(g)[1]
     a_mask = neighbor_mask(g, d_mask) & ~d_mask
     c_mask = g.full_mask & ~d_mask & ~a_mask
-    # A vertex of D with no neighbor in D is a component by itself; only
-    # the rest of D needs a search.  Both lists are ordered by smallest
-    # member and disjoint, so sorting the two runs merges them.
-    adj = g.adj_bits
-    d_set = labels_of(d_mask)
-    lone = []
-    joined = 0
-    for v in d_set:
-        if adj[v] & d_mask:
-            joined |= 1 << v
-        else:
-            lone.append((v,))
-    comps = lone + [labels_of(m) for m in components_within(g, joined)]
     return GallaiEdmonds(
-        d_set=d_set,
+        d_set=labels_of(d_mask),
         a_set=labels_of(a_mask),
         c_set=labels_of(c_mask),
-        d_components=tuple(sorted(comps)),
+        d_components=tuple(labels_of(c) for c in components_within(g, d_mask)),
     )
 
 
@@ -123,29 +110,30 @@ def tutte_berge_bruteforce(g: Graph) -> TutteBergeWitness | None:
 def tutte_berge_witness(g: Graph) -> TutteBergeWitness | None:
     """Constructive witness for Tutte-Berge graphs; None otherwise.
 
-    Built per component: a maximum independent set for a bipartite
-    component, the empty set for a non-bipartite component with a perfect
-    matching, and otherwise D of the component together with maximum
-    independent sets of the bipartite components of its C part.
+    T is D together with the first maximum independent set of B, the union
+    of the bipartite components of G[C].  D is independent, and no edge
+    joins D to C, so T is independent with N(T) = A, and
+    |T| - |N(T)| = |D| - |A| = deficiency, since every vertex of D is a
+    component of D by itself.  Every maximum matching matches C perfectly
+    within itself, so the stored matching is maximum on B.
+
+    T is also the set built component by component: the first maximum
+    independent set of each bipartite component K, and D of each other
+    component with the bipartite parts of its C.  A vertex cover of K with
+    |M| vertices takes one end of each M-edge and no vertex that some
+    maximum matching misses, so every maximum independent set of K holds
+    D and avoids A within K.  They all have the same size, so the first of
+    them is D within K plus the first one of G[C] within K.  A
+    non-bipartite component that meets no vertex of D is its own C, so it
+    adds nothing either way.
     """
-    # The decomposition restricts to each component, so D and C of a
-    # component are D(G) and C(G) intersected with it.  Every maximum
-    # matching matches C(G) perfectly within itself, so the stored matching
-    # is maximum on the union of the bipartite parts, and no edge joins two
-    # parts: one walk finds all their first maximum independent sets.
-    if not is_tutte_berge(g):
-        return None
     matching, d_mask = _matching(g)
-    c_mask = g.full_mask & ~d_mask & ~neighbor_mask(g, d_mask)
-    picked = 0
-    parts = 0
-    for comp, _, bipartite in _bfs(g, g.full_mask):
-        if bipartite:
-            parts |= comp
-        elif comp & d_mask:
-            picked |= comp & d_mask
-            parts |= sum(part for part, _, b in _bfs(g, comp & c_mask) if b)
-    t_set = _first_max_independent(g, matching, parts) | picked
+    near = neighbor_mask(g, d_mask)
+    if near & d_mask:
+        return None
+    c_mask = g.full_mask & ~d_mask & ~near
+    parts = sum(comp for comp, _, bipartite in _bfs(g, c_mask) if bipartite)
+    t_set = _first_max_independent(g, matching, parts) | d_mask
     return TutteBergeWitness(t_set=labels_of(t_set), deficiency=deficiency(g))
 
 

@@ -45,6 +45,13 @@ def labels_of(mask: int) -> VertexSet:
     return tuple(out)
 
 
+def _edge_tuples(edges: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    try:
+        return tuple(map(tuple, edges))
+    except TypeError:
+        raise ValueError(f"edges must be an iterable of pairs, got {edges!r}") from None
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 1..n.
@@ -54,8 +61,9 @@ class Graph:
     every label must be of type int: a bool, a float or any other type is
     refused by a ValueError that names it, so every graph that is accepted
     writes out and parses back.  Edges given as a list, or as pairs that
-    are not tuples, are stored as a tuple of tuples.  `Graph.from_edges`
-    orients and sorts arbitrary input.
+    are not tuples, are stored as a tuple of tuples; edges that are not an
+    iterable of iterables are refused by a ValueError that names them.
+    `Graph.from_edges` orients and sorts arbitrary input.
 
     `_facts` keeps what the package has computed about this graph, so that
     each fact is computed once however many callers ask: the blossom run
@@ -74,13 +82,13 @@ class Graph:
         if type(n) is not int or n < 0:
             raise ValueError(f"vertex count must be an int >= 0, got {n!r}")
         if type(self.edges) is not tuple:
-            object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+            object.__setattr__(self, "edges", _edge_tuples(self.edges))
         bits = [0] * (n + 1)
         prev = (0, 0)
         for e in self.edges:
             if type(e) is not tuple:
                 # A tuple of other pairs: store tuples, then check those.
-                object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+                object.__setattr__(self, "edges", _edge_tuples(self.edges))
                 self.__post_init__()
                 return
             try:

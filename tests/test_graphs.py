@@ -137,14 +137,22 @@ def test_graph_from_a_list_is_frozen_and_hashable():
         (2.0, []),
         (2, [(1, 2.0)]),
         (3, [(1, 2, 3)]),
+        # Edges that hold no pairs: one edge in place of a tuple of edges,
+        # a number, and None.
+        (3, (1, 2)),
+        (3, 5),
+        (3, None),
     ],
 )
 def test_graph_rejects_bad_input(n, edges):
-    with pytest.raises(ValueError):
-        Graph.from_edges(n, edges)
-    # The constructor names the value it refuses: in every case here, the
-    # last edge, or n when there is none.
-    named = repr(tuple(edges[-1])) if edges else repr(n)
+    # The constructor names the value it refuses: the last edge, or n when
+    # there is none, or the edges themselves when they hold no pairs.
+    if isinstance(edges, list):
+        with pytest.raises(ValueError):
+            Graph.from_edges(n, edges)
+        named = repr(tuple(edges[-1])) if edges else repr(n)
+    else:
+        named = repr(edges)
     with pytest.raises(ValueError, match=re.escape(named)):
         Graph(n, edges)
 

@@ -29,6 +29,7 @@ from reesreg import (
     path,
     random_graph,
     rees,
+    tutte_berge_witness,
 )
 from reesreg.corpus import all_graphs
 
@@ -175,6 +176,7 @@ PINNED_DIGESTS = {
     "gallai_edmonds": "ed0bdb02676fe3bea8361d3b7d2bc14cda4d91a3016d78c57766e1d0c98d7f1e",
     "bipartite_check": "deb6427c4534d18117a781b4adfd0f6c8021b498a17ccf6ffc88bdaf9401c802",
     "odd_cycle_condition": "c99803738cfe7ce510f4fe5b0109ec8296b2d02c571c35829c87749f4d9b495c",
+    "tutte_berge_witness": "d50d5730a1daa2962177690cc11c31055fe004d7ab769d3fab588971192e3610",
 }
 
 
@@ -204,6 +206,9 @@ def _pinned_view(name, g):
     if name == "gallai_edmonds":
         ge = gallai_edmonds(g)
         return ge.d_set, ge.a_set, ge.c_set, ge.d_components
+    if name == "tutte_berge_witness":
+        w = tutte_berge_witness(g)
+        return None if w is None else w.t_set
     check = bipartite_check(g)
     return check.sides, check.odd_closed_walk
 
