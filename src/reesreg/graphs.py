@@ -106,9 +106,16 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
-        """Build a graph from edges in any order, either endpoint first; the
-        constructor rejects loops, repeats and out-of-range ends."""
-        return cls(n, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges)))
+        """Build a graph from edges in any order, either endpoint first.  A
+        pair given twice is refused by a ValueError that names it, and the
+        rest as the constructor refuses it."""
+        oriented = {}
+        for e in _edge_tuples(edges):
+            key = e[::-1] if len(e) == 2 and e[1] < e[0] else e
+            if key in oriented:
+                raise ValueError(f"edge {e!r} repeats {oriented[key]!r}")
+            oriented[key] = e
+        return cls(n, tuple(sorted(oriented)))
 
     @property
     def m(self) -> int:
@@ -401,7 +408,36 @@ def connected_components(g: Graph) -> list[VertexSet]:
 
 def mask_is_bipartite(g: Graph, mask: int) -> bool:
     """Is the subgraph induced on `mask` bipartite?"""
-    return all(bipartite for _, _, bipartite in _bfs(g, mask))
+    return _every_component(g, mask, True)
+
+
+def _every_component(g: Graph, mask: int, bipartite: bool) -> bool:
+    """Is every component of g[mask] bipartite, or, with `bipartite` False,
+    is none?  `_bfs`'s layer walk without layers: it stops at the answer,
+    the first edge inside a layer or the first bipartite component."""
+    adj = g.adj_bits
+    left = mask
+    while left:
+        frontier = left & -left
+        if not adj[frontier.bit_length() - 1] & mask:
+            if not bipartite:
+                return False
+            left ^= frontier
+            continue
+        comp = 0
+        odd = False
+        while frontier:
+            comp |= frontier
+            reach = neighbor_mask(g, frontier)
+            if reach & frontier:
+                if bipartite:
+                    return False
+                odd = True
+            frontier = reach & mask & ~comp
+        if not odd and not bipartite:
+            return False
+        left &= ~comp
+    return True
 
 
 @dataclass(frozen=True)

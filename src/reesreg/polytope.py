@@ -26,6 +26,7 @@ from .graphs import (
     Graph,
     VertexSet,
     _bfs,
+    _every_component,
     _independent_from,
     is_bipartite,
     labels_of,
@@ -61,7 +62,7 @@ def _all_components_odd(h: Graph, mask: int) -> bool:
     # Fewer than three vertices hold none.
     if mask.bit_count() < 3:
         return not mask
-    return not any(bipartite for _, _, bipartite in _bfs(h, mask))
+    return _every_component(h, mask, False)
 
 
 def is_regular_vertex(h: Graph, v: int) -> bool:

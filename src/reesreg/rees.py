@@ -23,20 +23,23 @@ refutation (2b) at the start of the third, each sound on its own:
    in K, so G - N[W] holds every other component, and stage 2 found it
    bipartite, so every odd cycle lies in K.  A violating pair of odd
    cycles shrinks to a violating pair of chordless odd cycles (each to a
-   chordless odd cycle inside its own vertex set).  Call C1 the one whose
-   least vertex s is the smaller, and C2 the other.  The search grows the
-   induced paths from each start s and fails the graph when one closes
-   into a chordless odd cycle C such that G[{v > s} - N[C]] has an odd
-   cycle.  It prunes without losing C1:
+   chordless odd cycle inside its own vertex set).  The starts are tried
+   in descending degree order, ties by label.  Call C1 the cycle whose
+   first vertex s in that order comes first, and C2 the other: C2, and C1
+   apart from s, lie after s in the order ("later").  The search grows
+   the induced paths from each start s and fails the graph when one
+   closes into a chordless odd cycle C such that G[later - N[C]] has an
+   odd cycle.  It prunes without losing C1:
    - C1 lies inside one biconnected block, which holds s and an odd cycle.
      So a start s is tried only in a non-bipartite block (one
      Hopcroft-Tarjan pass finds the blocks), and its paths grow only
-     inside the non-bipartite blocks that hold s, through vertices above s.
-   - C2 lies in {v > s} - N[s], so a start with fewer than three vertices
+     inside the non-bipartite blocks that hold s, through later vertices.
+   - C2 lies in later - N[s], so a start with fewer than three vertices
      there is skipped before any other test (on K_n, every start is).
-   - C2 lies in {v > s}, and that set shrinks as s grows, so the starts
-     stop once G[{v > s}] is bipartite.
-   - C2 lies in {v > s} - N[P] for every prefix P of C1, and that set
+   - C2 lies among the later vertices, which shrink with each start, so
+     the starts stop once they induce a bipartite graph: soon, when the
+     first starts, of high degree, meet every odd cycle.
+   - C2 lies in later - N[P] for every prefix P of C1, and that set
      shrinks as P grows, so a path is dropped once the set is bipartite.
      The search carries the union of the set's non-bipartite components:
      an odd cycle left after an extension lies inside it.
@@ -45,8 +48,8 @@ refutation (2b) at the start of the third, each sound on its own:
 
 2b. Refute from the far side, once, before stage 3 grows its first path.
    At the first start s that stage 3 does not skip (s lies in a
-   non-bipartite block, and G[{v > s} - N[s]] has an odd cycle), the BFS
-   of the odd part of G[{v > s} - N[s]] closes an odd walk W' in its first
+   non-bipartite block, and G[later - N[s]] has an odd cycle), the BFS
+   of the odd part of G[later - N[s]] closes an odd walk W' in its first
    component, and the graph fails when G[K - N[W']] is not bipartite.
    This is stage 2's argument again: W' lies in K and holds an odd cycle
    C', N[C'] lies in N[W'], and every odd cycle lies in K.  A violation
@@ -217,10 +220,10 @@ def _far_side_refutes(g: Graph, comp: int, live: int) -> bool:
 
 
 def _chordless_search(g: Graph, comp: int) -> tuple[bool, int]:
-    """Stage 3: is there no chordless odd cycle C with least vertex s such
-    that g[{v > s} - N[C]] has an odd cycle?  Every odd cycle of g must lie
-    in the component `comp`, so the search stays inside it.  Returns the
-    answer and the number of induced paths grown."""
+    """Stage 3: is there no chordless odd cycle C, with s its first vertex
+    in the start order, such that g[later - N[C]] has an odd cycle?  Every
+    odd cycle of g must lie in the component `comp`, so the search stays
+    inside it.  Returns the answer and the number of induced paths grown."""
     adj = g.adj_bits
     # in_block[s]: the union of the non-bipartite blocks that hold s.  It
     # is built at the first start that survives the cheaper tests, which on
@@ -234,8 +237,12 @@ def _chordless_search(g: Graph, comp: int) -> tuple[bool, int]:
         return _odd_part(g, live & ~gone) if live & gone else live
 
     steps = 0
-    for s in labels_of(comp):
-        above = comp & ~((2 << s) - 1)
+    degree = [a.bit_count() for a in adj]
+    # `above`: the vertices of comp after s in the start order.
+    done = 0
+    for s in sorted(labels_of(comp), key=degree.__getitem__, reverse=True):
+        done |= 1 << s
+        above = comp & ~done
         s_adj = adj[s]
         # An odd cycle beyond N[s] needs three vertices there.
         if (above & ~s_adj).bit_count() < 3:
@@ -265,7 +272,7 @@ def _chordless_search(g: Graph, comp: int) -> tuple[bool, int]:
                 return False, 0
         # Induced paths s, v1, ..., last, each as (last, v1, path mask,
         # closed neighborhood of the vertices strictly between s and last,
-        # vertex count, odd part of g[{v > s} - N[path]]).
+        # vertex count, odd part of g[above - N[path]]).
         stack = []
         rest = s_adj & inside
         while rest:
@@ -279,7 +286,7 @@ def _chordless_search(g: Graph, comp: int) -> tuple[bool, int]:
             cand = adj[last] & inside & ~path & ~inner
             if not length & 1:
                 # Closing at w makes an odd cycle; test each once, in the
-                # orientation where its second vertex is the smaller.
+                # orientation where its second label is the smaller.
                 close = cand & s_adj & ~((2 << v1) - 1)
                 while close:
                     w = (close & -close).bit_length() - 1

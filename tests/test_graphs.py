@@ -38,6 +38,8 @@ from reesreg import (
 from reesreg.corpus import all_graphs, exhaustive_graphs, random_graphs
 from reesreg.decomposition import INDEPENDENT_ENUM_LIMIT
 from reesreg.graphs import (
+    _bfs,
+    _every_component,
     _independent_of_size,
     components_within,
     labels_of,
@@ -145,16 +147,16 @@ def test_graph_from_a_list_is_frozen_and_hashable():
     ],
 )
 def test_graph_rejects_bad_input(n, edges):
-    # The constructor names the value it refuses: the last edge, or n when
-    # there is none, or the edges themselves when they hold no pairs.
+    # The constructor and `Graph.from_edges` name the value they refuse: the
+    # last edge, or n when there is none, or the edges themselves when they
+    # hold no pairs.
     if isinstance(edges, list):
-        with pytest.raises(ValueError):
-            Graph.from_edges(n, edges)
         named = repr(tuple(edges[-1])) if edges else repr(n)
     else:
         named = repr(edges)
-    with pytest.raises(ValueError, match=re.escape(named)):
-        Graph(n, edges)
+    for build in (Graph.from_edges, Graph):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            build(n, edges)
 
 
 def test_parse_basic_with_comments_and_blanks():
@@ -461,6 +463,32 @@ def test_traversal_matches_networkx_large():
             ], g
             assert mask_is_bipartite(g, mask) == nx.is_bipartite(sub), g
     assert seen == {True, False}
+
+
+def test_every_component_matches_the_component_walk():
+    # The early-exit walk answers as `all` and `not any` over the bipartite
+    # flags of `_bfs`: on every graph with n <= 5 and every mask, and on
+    # seeded G(n, c/n) up to n = 60 with random masks.
+    seen = set()
+
+    def agrees(g, mask):
+        flags = [bipartite for _, _, bipartite in _bfs(g, mask)]
+        assert _every_component(g, mask, True) == all(flags), (g, mask)
+        assert _every_component(g, mask, False) == (not any(flags)), (g, mask)
+        seen.add((all(flags), not any(flags)))
+
+    for n in range(6):
+        for g in all_graphs(n):
+            for mask in range(0, g.full_mask + 1, 2):
+                agrees(g, mask)
+    rng = random.Random(28)
+    for _ in range(500):
+        n = rng.randint(1, 60)
+        g = random_graph(n, min(1.0, rng.uniform(0.5, 4.0) / n), seed=rng.randrange(1 << 30))
+        agrees(g, rng.getrandbits(n + 1) & g.full_mask)
+    # Both answers of both questions occur, and the empty mask answers yes
+    # to both.
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_neighbor_set():

@@ -134,8 +134,8 @@ def test_odd_cycle_condition_matches_pairwise_reference_seeded():
 
 
 # Structured graphs for the pruned search.  Each builder returns (n, edges)
-# on labels 1..n; the test permutes the labels so that the least vertex of
-# a cycle, where the search starts, falls anywhere in the graph.
+# on labels 1..n; the test permutes the labels so that the start of a cycle
+# (its first vertex by degree, ties by label) falls anywhere in the graph.
 
 
 def _odd_cycle(edges: list, first: int, k: int, at: int | None = None) -> list[int]:
@@ -314,24 +314,40 @@ def _bipartite_plus_triangle() -> Graph:
     return Graph.from_edges(303, edges + [(301, 302), (301, 303), (302, 303)])
 
 
+def _grid_with_hub() -> Graph:
+    # The graph of the CI step: the 9 x 9 grid on 1..81, row by row, and a
+    # hub 82 joined to the grid vertices v with (v - 1) % 7 == 0.  Every odd
+    # cycle passes through the hub.
+    edges = [(v, v + 1) for v in range(1, 82) if v % 9]
+    edges += [(v, v + 9) for v in range(1, 73)]
+    edges += [(v, 82) for v in range(1, 82, 7)]
+    return Graph.from_edges(82, edges)
+
+
 def test_odd_cycle_condition_hard_inputs_within_a_small_budget(monkeypatch):
     # Inputs on which enumerating every chordless odd cycle takes from a
     # tenth of a second to minutes; the pruned search needs few paths.
     monkeypatch.setattr(rees, "OCC_STEP_LIMIT", 10_000)
     k50 = complete_bipartite(50, 50)
     plus_edge = Graph.from_edges(100, list(k50.edges) + [(1, 2)])
+    hub = _grid_with_hub()
     for g, expected in (
         (cycle(321), True),
         (complete(24), True),
         (plus_edge, True),
         (_bipartite_plus_triangle(), True),
         (random_graph(320, 1.5 / 320, seed=1), False),
+        (hub, True),
     ):
         assert satisfies_odd_cycle_condition(g) is expected, g.n
+    # The hub has the highest degree, so stage 3 starts there, and the grid
+    # after it is bipartite: no path grows.  A search that started in label
+    # order would grow more than OCC_STEP_LIMIT = 1,000,000 paths.
+    assert hub._facts["occ"] == (True, 0)
 
 
 def test_odd_cycle_condition_refutes_a_late_violation_before_a_path_grows(monkeypatch):
-    # Stage 3 alone grows 228,921 induced paths here before it closes a
+    # Stage 3 alone grows 4,050 induced paths here before it closes a
     # violating cycle; stage 2b refutes the graph at its first start.
     monkeypatch.setattr(rees, "OCC_STEP_LIMIT", 1_000)
     g = random_graph(125, 2.276953395757811 / 125, seed=304711988)
@@ -365,7 +381,7 @@ def test_far_side_refutation_keeps_every_passing_search(monkeypatch):
 
 
 def test_odd_cycle_condition_step_budget(monkeypatch, tmp_path, capsys):
-    # Passes the first two stages and grows 10 induced paths in the third.
+    # Passes the first two stages and grows 6 induced paths in the third.
     g = random_graph(14, 0.2, seed=138)
     assert regularity(g).status is RegularityStatus.COMPUTED
     monkeypatch.setattr(rees, "OCC_STEP_LIMIT", 3)
