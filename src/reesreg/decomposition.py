@@ -12,9 +12,10 @@ outside neighbors of D; C(G) is everything else.
 A graph is called Tutte-Berge when some independent set T attains
 |T| = |N(T)| + |V| - 2 mat(G), the maximum possible value.  That holds
 exactly when every component of the subgraph induced on D(G) is a single
-vertex, that is, when no edge has both ends in D(G).  The witness is then
-D together with the first maximum independent set of the bipartite
-components of G[C], found by one 2-SAT walk.
+vertex, that is, when no edge has both ends in D(G), which the blossom run
+records: some edge does exactly when a failed search contracted a blossom.
+The witness is then D together with the first maximum independent set of
+the bipartite components of G[C], found by one 2-SAT walk.
 """
 
 from __future__ import annotations
@@ -84,10 +85,11 @@ def is_tutte_berge(g: Graph) -> bool:
 
     Equivalent to the existence of an independent witness for the
     deficiency equation; the empty graph and perfect-matching graphs pass
-    with the empty witness.
+    with the empty witness.  Read off the stored blossom run, with no walk
+    of D: an edge lies inside D exactly when one of the run's failed
+    searches contracted a blossom (see `matching`).
     """
-    d_mask = _matching(g)[1]
-    return not neighbor_mask(g, d_mask) & d_mask
+    return _matching(g)[2]
 
 
 def tutte_berge_bruteforce(g: Graph) -> TutteBergeWitness | None:
@@ -127,11 +129,10 @@ def tutte_berge_witness(g: Graph) -> TutteBergeWitness | None:
     non-bipartite component that meets no vertex of D is its own C, so it
     adds nothing either way.
     """
-    matching, d_mask = _matching(g)
-    near = neighbor_mask(g, d_mask)
-    if near & d_mask:
+    matching, d_mask, flat = _matching(g)
+    if not flat:
         return None
-    c_mask = g.full_mask & ~d_mask & ~near
+    c_mask = g.full_mask & ~d_mask & ~neighbor_mask(g, d_mask)
     parts = sum(comp for comp, _, bipartite in _bfs(g, c_mask) if bipartite)
     t_set = _first_max_independent(g, matching, parts) | d_mask
     return TutteBergeWitness(t_set=labels_of(t_set), deficiency=deficiency(g))

@@ -108,14 +108,22 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
         """Build a graph from edges in any order, either endpoint first.  A
         pair given twice is refused by a ValueError that names it, and the
-        rest as the constructor refuses it."""
+        rest as the constructor refuses it (edge by edge, when labels do
+        not compare)."""
+        edges = _edge_tuples(edges)
         oriented = {}
-        for e in _edge_tuples(edges):
-            key = e[::-1] if len(e) == 2 and e[1] < e[0] else e
-            if key in oriented:
-                raise ValueError(f"edge {e!r} repeats {oriented[key]!r}")
-            oriented[key] = e
-        return cls(n, tuple(sorted(oriented)))
+        try:
+            for e in edges:
+                key = e[::-1] if len(e) == 2 and e[1] < e[0] else e
+                if key in oriented:
+                    raise ValueError(f"edge {e!r} repeats {oriented[key]!r}")
+                oriented[key] = e
+            ordered = tuple(sorted(oriented))
+        except TypeError:
+            for e in edges:
+                cls(n, (e,))
+            raise
+        return cls(n, ordered)
 
     @property
     def m(self) -> int:

@@ -13,16 +13,22 @@ The same run yields D(G), the vertices missed by some maximum matching: a
 search that fails is never touched again, because no later augmenting path
 enters its tree (Edmonds 1965), so its tree and root are those of the final
 matching, and D(G) is the union of the failed searches' outer sets, with
-each isolated vertex, which needs no search.  The run is made once per
-graph: the matching and D(G) are stored in the graph's `_facts`, where
-every later caller reads them.  The Konig test and the first maximum
-independent set of a Konig graph are one 2-SAT walk on one maximum
-matching.
+each isolated vertex, which needs no search.  The run's flag is True when no
+failed search contracted a blossom, that is, when no edge lies inside
+D(G).  A failed search that contracts puts a whole blossom, an odd cycle,
+into its outer set.  One that does not has emptied its queue, so it scanned
+every outer vertex, and of two adjacent outer vertices of its tree the
+later scanned would find the other outer and contract.  Outer vertices of
+two failed trees are never adjacent: the later search would take the
+earlier tree's vertex as inner, closing an augmenting path between the two
+roots, and the final matching is maximum.  The run is made once per graph
+and stored in the graph's `_facts`, where every later caller reads it.  The
+Konig test and the first maximum independent set of a Konig graph are one
+2-SAT walk on one maximum matching.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graphs import Graph, VertexSet, labels_of
@@ -48,9 +54,10 @@ def max_matching(g: Graph) -> Matching:
     return _matching(g)[0]
 
 
-def _matching(g: Graph) -> tuple[Matching, int]:
-    """A maximum matching of g and the mask of D(G), from the one blossom
-    run of g: the first call stores it in `g._facts`, later calls read it."""
+def _matching(g: Graph) -> tuple[Matching, int, bool]:
+    """A maximum matching of g, the mask of D(G) and whether no edge lies
+    inside D(G), from the one blossom run of g: the first call stores them
+    in `g._facts`, later calls read them."""
     facts = g._facts
     found = facts.get("matching")
     if found is None:
@@ -58,16 +65,17 @@ def _matching(g: Graph) -> tuple[Matching, int]:
     return found
 
 
-def _blossom(g: Graph) -> tuple[Matching, int]:
-    # One run of the blossom loop: the maximum matching and D(G), the union
-    # of its failed searches' outer masks (see the module docstring).  An
-    # isolated root's mask is its own bit.
+def _blossom(g: Graph) -> tuple[Matching, int, bool]:
+    # One run of the blossom loop: the maximum matching, D(G), the union
+    # of its failed searches' outer masks, and the flag, all as the module
+    # docstring says.  An isolated root's mask is its own bit.
     n = g.n
     adj = g.adj_bits
     mate = [0] * (n + 1)
     parent = [0] * (n + 1)
     base = list(range(n + 1))
     d = 0
+    flat = True
     for root in range(1, n + 1):
         if mate[root]:
             continue
@@ -82,66 +90,70 @@ def _blossom(g: Graph) -> tuple[Matching, int]:
         elif not adj[root]:
             d |= 1 << root
         else:
-            # A failed search's mask holds its root, so it is never 0.
-            d |= _try_augment(g, mate, root, parent, base) or 0
-    edges = tuple(
-        (v, mate[v]) for v in range(1, n + 1) if mate[v] > v
-    )
-    return Matching(edges=edges), d
+            failed = _try_augment(g, mate, root, parent, base)
+            if failed:
+                d |= failed[0]
+                flat = flat and not failed[1]
+    edges = tuple([(v, w) for v, w in enumerate(mate) if w > v])
+    return Matching(edges=edges), d, flat
 
 
 def matching_number(g: Graph) -> int:
     return max_matching(g).size
 
 
+def _find_base(a: int, b: int, base: list, mate: list, parent: list) -> int:
+    # The base of the blossom that the edge a-b closes.
+    seen = 0
+    while True:
+        a = base[a]
+        seen |= 1 << a
+        if mate[a] == 0:
+            break
+        a = parent[mate[a]]
+    while True:
+        b = base[b]
+        if seen >> b & 1:
+            return b
+        b = parent[mate[b]]
+
+
+def _mark_path(
+    v: int, b: int, child: int, base: list, mate: list, parent: list, members: dict
+) -> int:
+    # The members of the bases on the tree path from v down to base b,
+    # which leave `members`.
+    moved = 0
+    while base[v] != b:
+        x, y = base[v], base[mate[v]]
+        moved |= members.pop(x, 1 << x) | members.pop(y, 1 << y)
+        parent[v] = child
+        child = mate[v]
+        v = parent[mate[v]]
+    return moved
+
+
 def _try_augment(
     g: Graph, mate: list[int], root: int, parent: list[int], base: list[int]
-) -> int | None:
+) -> tuple[int, bool] | None:
     # One phase of the blossom search: grow an alternating BFS tree from
     # `root`, contracting odd cycles via the `base` array, and flip the first
-    # augmenting path found (None), or else return the outer (`used`) mask.
+    # augmenting path found (None), or else return the outer (`used`) mask
+    # and whether the search contracted a blossom.
     # `parent` and `base` are the caller's, shared by all its searches: they
     # read 0 and the identity outside the tree, and the search resets the
     # entries of its tree (`tree`, inner and outer vertices) before it
     # returns.  `members` maps the base of each contracted blossom to the
     # mask of the tree vertices with that base; a base that is missing has
     # only itself.  So a contraction relabels only what it merges, and a
-    # search costs its tree and its blossoms.
+    # search costs its tree and its blossoms.  `queue` grows as it is walked.
     adj = g.adj_bits
     used = 1 << root
     tree = [root]
     members: dict[int, int] = {}
-    queue = deque([root])
-
-    def find_base(a: int, b: int) -> int:
-        seen = 0
-        while True:
-            a = base[a]
-            seen |= 1 << a
-            if mate[a] == 0:
-                break
-            a = parent[mate[a]]
-        while True:
-            b = base[b]
-            if seen >> b & 1:
-                return b
-            b = parent[mate[b]]
-
-    def mark_path(v: int, b: int, child: int) -> int:
-        # The members of the bases on the tree path from v down to base b,
-        # which leave `members`.
-        moved = 0
-        while base[v] != b:
-            x, y = base[v], base[mate[v]]
-            moved |= members.pop(x, 1 << x) | members.pop(y, 1 << y)
-            parent[v] = child
-            child = mate[v]
-            v = parent[mate[v]]
-        return moved
-
+    queue = [root]
     try:
-        while queue:
-            v = queue.popleft()
+        for v in queue:
             # A neighbor in v's own blossom stays there: blossoms only merge.
             own = members.get(base[v])
             rest = adj[v] & ~own if own else adj[v]
@@ -156,8 +168,9 @@ def _try_augment(
                     # base, relabelling its members in ascending order.  The
                     # base keeps the members it had: a later contraction
                     # through it must relabel them too.
-                    cur_base = find_base(v, to)
-                    moved = mark_path(v, cur_base, to) | mark_path(to, cur_base, v)
+                    cur_base = _find_base(v, to, base, mate, parent)
+                    moved = _mark_path(v, cur_base, to, base, mate, parent, members)
+                    moved |= _mark_path(to, cur_base, v, base, mate, parent, members)
                     members[cur_base] = members.get(cur_base, 1 << cur_base) | moved
                     while moved:
                         bit = moved & -moved
@@ -183,7 +196,7 @@ def _try_augment(
                     used |= 1 << outer
                     tree.append(outer)
                     queue.append(outer)
-        return used
+        return used, bool(members)
     finally:
         for i in tree:
             parent[i] = 0
@@ -198,7 +211,7 @@ def is_factor_critical(g: Graph) -> bool:
     """Does every single-vertex deletion leave a perfect matching?  That is,
     a maximum matching misses one vertex and D(G) = V.  False for even |V|
     (including n = 0); a single vertex counts as factor-critical."""
-    m, d_mask = _matching(g)
+    m, d_mask, _ = _matching(g)
     return 2 * m.size == g.n - 1 and d_mask == g.full_mask
 
 

@@ -9,7 +9,11 @@ and mat(G) + 1 otherwise.
 
 No polynomial test of the odd cycle condition is known to us.
 `satisfies_odd_cycle_condition` decides it in three stages, with a second
-refutation (2b) at the start of the third, each sound on its own:
+refutation (2b) at the start of the third, each sound on its own.  Stages 1
+and 2 see only the vertices of degree >= 2: one of degree <= 1 is a leaf or
+isolated in every induced subgraph, on no cycle and cutting no component,
+so dropping them keeps the components, their bipartiteness and every odd
+cycle.
 
 1. A bipartite graph has no odd cycle, so it passes.
 2. Refute first.  The BFS layers of the first non-bipartite component close
@@ -21,9 +25,11 @@ refutation (2b) at the start of the third, each sound on its own:
    found bipartite: they lie outside N[W] and hold no odd cycle.
 3. Exact search, inside the first non-bipartite component K only: W lies
    in K, so G - N[W] holds every other component, and stage 2 found it
-   bipartite, so every odd cycle lies in K.  A violating pair of odd
-   cycles shrinks to a violating pair of chordless odd cycles (each to a
-   chordless odd cycle inside its own vertex set).  The starts are tried
+   bipartite, so every odd cycle lies in K.  It runs on the 2-core of K
+   (Batagelj-Zaversnik 2003), which holds every cycle of K, is connected
+   and has K's non-bipartite blocks, so all below holds in it as in K.
+   A violating pair of odd cycles shrinks to a violating pair of chordless
+   odd cycles (each to one inside its own vertex set).  The starts are tried
    in descending degree order, ties by label.  Call C1 the cycle whose
    first vertex s in that order comes first, and C2 the other: C2, and C1
    apart from s, lie after s in the order ("later").  The search grows
@@ -72,6 +78,7 @@ from .graphs import (
     _odd_walk,
     labels_of,
     mask_is_bipartite,
+    neighbor_mask,
 )
 from .matching import matching_number
 
@@ -129,19 +136,40 @@ def _over_budget() -> InstanceTooLargeError:
 
 
 def _odd_cycle_condition(g: Graph) -> tuple[bool, int]:
-    # The stages: the answer and the induced paths stage 3 grew.  `seen`
-    # holds the components stage 1 found bipartite, which stage 2 leaves
-    # out of its test.
+    # The stages: the answer and the induced paths stage 3 grew.  `cyclic`,
+    # the vertices of degree >= 2, is read off one string of bits, highest
+    # label first; only a vertex of `comp` next to one of degree <= 1 can
+    # have fewer than two neighbors in `comp`.  `seen` holds the components
+    # stage 1 found bipartite, which stage 2 leaves out of its test.
+    cyclic = int("".join(["1" if a & (a - 1) else "0" for a in reversed(g.adj_bits)]), 2)
     seen = 0
-    for comp, layers, bipartite in _bfs(g, g.full_mask):
+    for comp, layers, bipartite in _bfs(g, cyclic):
         if not bipartite:
             break
         seen |= comp
     else:
         return True, 0
-    if _walk_refutes(g, layers, g.full_mask & ~seen):
+    if _walk_refutes(g, layers, cyclic & ~seen):
         return False, 0
-    return _chordless_search(g, comp)
+    loose = comp & neighbor_mask(g, g.full_mask & ~cyclic)
+    return _chordless_search(g, _two_core(g, comp, loose))
+
+
+def _two_core(g: Graph, comp: int, loose: int) -> int:
+    """The 2-core of g[comp]: what is left once no vertex has at most one
+    neighbor left.  `loose` must hold every vertex of comp with fewer than
+    two neighbors in it.  Each is tested, and a removal tests again the one
+    neighbor its vertex has left."""
+    adj = g.adj_bits
+    left = comp
+    test = list(labels_of(loose))
+    for v in test:
+        a = adj[v] & left
+        if left >> v & 1 and not a & (a - 1):
+            left ^= 1 << v
+            if a:
+                test.append(a.bit_length() - 1)
+    return left
 
 
 def _walk_refutes(g: Graph, layers: list[int], rest: int) -> bool:
@@ -164,11 +192,10 @@ def _odd_part(g: Graph, mask: int) -> int:
 
 
 def _blocks(g: Graph, mask: int) -> Iterator[int]:
-    """Vertex masks of the biconnected blocks that have an edge, within
-    `mask`, a union of components, by one iterative depth-first search
-    (Hopcroft-Tarjan 1973).  A vertex's `low` is the least discovery time
-    reachable from its subtree by one back edge; a child v with
-    low[v] >= disc[p] closes a block at p."""
+    """Vertex masks of the biconnected blocks of g[mask] that have an edge,
+    by one iterative depth-first search (Hopcroft-Tarjan 1973).  A vertex's
+    `low` is the least discovery time reachable from its subtree by one
+    back edge; a child v with low[v] >= disc[p] closes a block at p."""
     adj = g.adj_bits
     disc = [0] * (g.n + 1)
     low = [0] * (g.n + 1)
@@ -181,7 +208,7 @@ def _blocks(g: Graph, mask: int) -> Iterator[int]:
         # Visited vertices not yet in a closed block, in discovery order.
         pending = [root]
         # Each frame: vertex, its parent, the neighbors not yet scanned.
-        walk = [[root, 0, adj[root]]]
+        walk = [[root, 0, adj[root] & mask]]
         while walk:
             frame = walk[-1]
             v, p, rest = frame
@@ -192,7 +219,7 @@ def _blocks(g: Graph, mask: int) -> Iterator[int]:
                     t += 1
                     disc[w] = low[w] = t
                     pending.append(w)
-                    walk.append([w, v, adj[w] & ~(1 << v)])
+                    walk.append([w, v, adj[w] & mask & ~(1 << v)])
                 elif disc[w] < low[v]:
                     low[v] = disc[w]
                 continue
@@ -214,16 +241,17 @@ def _blocks(g: Graph, mask: int) -> Iterator[int]:
 def _far_side_refutes(g: Graph, comp: int, live: int) -> bool:
     """Stage 2b: does the first component of g[live] close an odd walk W
     with g[comp - N[W]] non-bipartite?  `live` must be a union of
-    non-bipartite components inside `comp`, the component that holds every
-    odd cycle of g."""
+    non-bipartite components inside `comp`, the connected vertex set that
+    holds every odd cycle of g."""
     return _walk_refutes(g, next(_bfs(g, live))[1], comp)
 
 
 def _chordless_search(g: Graph, comp: int) -> tuple[bool, int]:
     """Stage 3: is there no chordless odd cycle C, with s its first vertex
     in the start order, such that g[later - N[C]] has an odd cycle?  Every
-    odd cycle of g must lie in the component `comp`, so the search stays
-    inside it.  Returns the answer and the number of induced paths grown."""
+    odd cycle of g must lie in `comp`, a connected vertex set (the 2-core of
+    a component), so the search stays inside it.  Returns the answer and
+    the number of induced paths grown."""
     adj = g.adj_bits
     # in_block[s]: the union of the non-bipartite blocks that hold s.  It
     # is built at the first start that survives the cheaper tests, which on

@@ -30,7 +30,7 @@ from reesreg import (
 )
 import reesreg.matching
 from reesreg.corpus import all_graphs, exhaustive_graphs
-from reesreg.graphs import is_bipartite
+from reesreg.graphs import is_bipartite, neighbor_mask
 from reesreg.matching import Matching
 from reference import (
     gallai_edmonds_by_deletion,
@@ -164,10 +164,10 @@ def test_bruteforce_meets_a_wrong_deficiency_exactly():
     # stored matching), and its stop at (n + deficiency) // 2 still holds.
     wrong = 0
     for g in exhaustive_graphs(6):
-        matching, d_mask = reesreg.matching._matching(g)
+        matching, d_mask, flat = reesreg.matching._matching(g)
         if not matching.edges or g.n - 2 * matching.size < 2:
             continue
-        g._facts["matching"] = (Matching(matching.edges + matching.edges[:1]), d_mask)
+        g._facts["matching"] = (Matching(matching.edges + matching.edges[:1]), d_mask, flat)
         t_set = _bruteforce_t_set(g)
         assert t_set == tutte_berge_witness_by_subsets(g), g
         wrong += t_set is not None
@@ -307,6 +307,26 @@ def _hung(k: int, stems: list[tuple[int, int]]) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _blossom_shapes() -> list[Graph]:
+    bowtie = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
+    dumbbell = Graph.from_edges(
+        7, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7)]
+    )
+    return [
+        cycle(5),
+        bowtie,
+        dumbbell,
+        _hung(3, [(1, 1)]),
+        _hung(3, [(1, 2)]),
+        _hung(3, [(1, 3)]),
+        _hung(3, [(1, 2), (2, 2)]),
+        _hung(5, [(1, 1)]),
+        _hung(5, [(1, 2)]),
+        _hung(5, [(1, 1), (3, 2)]),
+        _hung(7, [(2, 2)]),
+    ]
+
+
 def test_decomposition_of_blossoms_hung_off_paths_under_relabeling(monkeypatch):
     # D is read off the failed searches of the one blossom run.  Under these
     # labels a low root's search often fails (its blossom's base is matched
@@ -321,26 +341,9 @@ def test_decomposition_of_blossoms_hung_off_paths_under_relabeling(monkeypatch):
         return used
 
     monkeypatch.setattr(reesreg.matching, "_try_augment", recorded)
-    bowtie = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
-    dumbbell = Graph.from_edges(
-        7, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7)]
-    )
-    shapes = [
-        cycle(5),
-        bowtie,
-        dumbbell,
-        _hung(3, [(1, 1)]),
-        _hung(3, [(1, 2)]),
-        _hung(3, [(1, 3)]),
-        _hung(3, [(1, 2), (2, 2)]),
-        _hung(5, [(1, 1)]),
-        _hung(5, [(1, 2)]),
-        _hung(5, [(1, 1), (3, 2)]),
-        _hung(7, [(2, 2)]),
-    ]
     rng = random.Random(41)
     fail_then_augment = 0
-    for shape in shapes:
+    for shape in _blossom_shapes():
         for _ in range(40):
             g = _relabel(shape, rng)
             outcomes.clear()
@@ -350,6 +353,33 @@ def test_decomposition_of_blossoms_hung_off_paths_under_relabeling(monkeypatch):
             assert ge == gallai_edmonds_by_deletion(g), g
             assert is_factor_critical(g) == is_factor_critical_by_deletion(g), g
     assert fail_then_augment >= 20
+
+
+def _flag_is_edge_free_d(g: Graph) -> bool:
+    _, d_mask, flat = reesreg.matching._matching(g)
+    assert flat == (not neighbor_mask(g, d_mask) & d_mask), g
+    return flat
+
+
+def test_blossom_flag_says_whether_d_holds_an_edge():
+    # The blossom run's flag (no failed search contracted a blossom) must
+    # say exactly whether no edge has both ends in D: on every graph with
+    # n <= 6, on the blossoms hung off paths under relabeling, and on
+    # sparse graphs up to n = 200.
+    for n in range(7):
+        for g in all_graphs(n):
+            _flag_is_edge_free_d(g)
+    rng = random.Random(43)
+    for shape in _blossom_shapes():
+        for _ in range(40):
+            _flag_is_edge_free_d(_relabel(shape, rng))
+    rng = random.Random(2003)
+    flags = set()
+    for _ in range(500):
+        n = rng.randint(7, 200)
+        g = random_graph(n, rng.uniform(0.5, 4.0) / n, seed=rng.randrange(1 << 30))
+        flags.add(_flag_is_edge_free_d(g))
+    assert flags == {True, False}
 
 
 def test_singleton_d_components_merge_in_label_order():

@@ -144,6 +144,11 @@ def test_graph_from_a_list_is_frozen_and_hashable():
         (3, (1, 2)),
         (3, 5),
         (3, None),
+        # Labels that do not compare with an int, in one edge or across
+        # two: `from_edges` must not fail in its orientation or its sort.
+        (3, [(None, 1)]),
+        (3, [(1, "a")]),
+        (3, [(1, 2), ("a", "b")]),
     ],
 )
 def test_graph_rejects_bad_input(n, edges):

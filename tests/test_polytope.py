@@ -610,12 +610,12 @@ def test_a_wrong_stored_matching_cannot_make_the_oracle_agree_wrongly():
         if res.status is not RegularityStatus.COMPUTED:
             continue
         oracle = compute_q0(g)
-        matching, d_mask = g._facts["matching"]
+        matching, d_mask, flat = g._facts["matching"]
         smaller = Graph(g.n, g.edges)
-        smaller._facts["matching"] = (Matching(matching.edges[:-1]), d_mask)
+        smaller._facts["matching"] = (Matching(matching.edges[:-1]), d_mask, flat)
         assert compute_q0(smaller) == oracle, g
         larger = Graph(g.n, g.edges)
-        larger._facts["matching"] = (Matching(matching.edges + matching.edges[:1]), d_mask)
+        larger._facts["matching"] = (Matching(matching.edges + matching.edges[:1]), d_mask, flat)
         if res.tutte_berge:
             with pytest.raises(InternalInvariantError, match="bound"):
                 compute_q0(larger)

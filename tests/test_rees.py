@@ -27,7 +27,14 @@ from reesreg import (
 from reesreg import rees
 from reesreg.cli import main
 from reesreg.corpus import all_graphs
-from reesreg.graphs import is_bipartite, labels_of, mask_is_bipartite, mask_of
+from reesreg.graphs import (
+    components_within,
+    is_bipartite,
+    labels_of,
+    mask_is_bipartite,
+    mask_of,
+    neighbor_mask,
+)
 from reference import satisfies_odd_cycle_condition_pairwise
 
 
@@ -225,6 +232,53 @@ def test_odd_cycle_condition_on_permuted_structured_graphs(build, verdicts):
         assert occ == satisfies_odd_cycle_condition_pairwise(g), g
         seen.add(occ)
     assert seen == verdicts
+
+
+def _peeled(g: Graph, mask: int) -> int:
+    # The 2-core of g[mask], one round of removals at a time.
+    while True:
+        drop = [v for v in labels_of(mask) if (g.adj_bits[v] & mask).bit_count() < 2]
+        if not drop:
+            return mask
+        mask &= ~mask_of(drop)
+
+
+def test_odd_cycle_condition_with_pendant_trees():
+    # An odd cycle, a bowtie, or two triangles joined by an edge (these
+    # pass) or by a path of two edges (this fails), with trees hung off
+    # them up to n = 12.  The first tree starts with a path of two, so
+    # that the degree filter of stages 1 and 2 drops its leaves and the
+    # 2-core peel before stage 3 drops the vertex next to the cycle.
+    triangles = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]
+    shapes = [
+        (3, [(1, 2), (2, 3), (1, 3)]),
+        (5, [(v, v % 5 + 1) for v in range(1, 6)]),
+        (7, [(v, v % 7 + 1) for v in range(1, 8)]),
+        (5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)]),
+        (6, triangles + [(3, 4)]),
+        (7, triangles + [(3, 7), (7, 4)]),
+    ]
+    rng = random.Random(1965)
+    seen = set()
+    for _ in range(150):
+        n, edges = rng.choice(shapes)
+        edges = edges + [(rng.randint(1, n), n + 1), (n + 1, n + 2)]
+        size = rng.randint(n + 2, 12)
+        edges += [(rng.randint(1, v - 1), v) for v in range(n + 3, size + 1)]
+        perm = list(range(1, size + 1))
+        rng.shuffle(perm)
+        g = Graph.from_edges(size, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+        cyclic = mask_of(v for v in g.vertices if g.degree(v) >= 2)
+        assert cyclic != g.full_mask
+        comp = next(c for c in components_within(g, cyclic) if not mask_is_bipartite(g, c))
+        loose = comp & neighbor_mask(g, g.full_mask & ~cyclic)
+        core = rees._two_core(g, comp, loose)
+        assert core == rees._two_core(g, comp, comp) == _peeled(g, comp), g
+        assert core == mask_of(perm[:n]) != comp, g
+        occ = rees._odd_cycle_condition(g)[0]
+        assert occ == satisfies_odd_cycle_condition_pairwise(g), g
+        seen.add(occ)
+    assert seen == {True, False}
 
 
 def _bipartite_parts(rng: random.Random, count: int) -> tuple[int, list]:
