@@ -2,7 +2,8 @@
 
 Commands: classify, gen, regularity, ged, polytope, corpus.  Exit codes:
 0 success, 1 corpus assertion failure, 2 usage or input errors, 3 internal
-invariant failures.
+invariant failures, 141 (128 + SIGPIPE, with nothing on stderr) when standard
+output is closed before the output is written, as by `| head -1`.
 
 `main` hands the words after a command's name straight to that command's
 own parser, so a well-formed call is parsed once, not twice (the top-level
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_CORPUS_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _read_graph(spec: str) -> Graph:
@@ -264,6 +266,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

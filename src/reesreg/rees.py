@@ -8,14 +8,20 @@ edges, the Castelnuovo-Mumford regularity is mat(G) when G is Tutte-Berge
 and mat(G) + 1 otherwise.
 
 No polynomial test of the odd cycle condition is known to us.
-`satisfies_odd_cycle_condition` decides it in three stages, with a second
-refutation (2b) at the start of the third, each sound on its own.  Stages 1
-and 2 see only the vertices of degree >= 2: one of degree <= 1 is a leaf or
-isolated in every induced subgraph, on no cycle and cutting no component,
-so dropping them keeps the components, their bipartiteness and every odd
-cycle.
+`satisfies_odd_cycle_condition` decides it in three stages, with an answer
+for one cycle (1b) after the first and a second refutation (2b) at the start
+of the third, each sound on its own.  Stages 1, 1b and 2 see only the
+vertices of degree >= 2: one of degree <= 1 is a leaf or isolated in every
+induced subgraph, on no cycle and cutting no component, so dropping them
+keeps the components, their bipartiteness and every odd cycle.
 
 1. A bipartite graph has no odd cycle, so it passes.
+1b. One cycle.  When K, the first non-bipartite component, is 2-regular,
+   it is one cycle, odd as K is not bipartite.  Only leaves hang off it,
+   each by a single edge, so it is the only cycle of its component of G.
+   The components before K were found bipartite, so G passes exactly when
+   the components after K are bipartite.  Stage 2's walk covers the whole
+   cycle, so it refutes exactly those graphs; stage 3 would grow no path.
 2. Refute first.  The BFS layers of the first non-bipartite component close
    a short odd closed walk W (2k + 1 edges; `graphs._odd_walk`, which also
    gives `bipartite_check` its walk, and gives this stage its vertices as
@@ -51,6 +57,10 @@ cycle.
      an odd cycle left after an extension lies inside it.
    The search is still exponential in the worst case, so it raises
    InstanceTooLargeError after OCC_STEP_LIMIT induced paths.
+   The core check comes first: a 2-core that is 2-regular is one cycle,
+   so K has one cycle, and stage 2 has shown every other component
+   bipartite.  The graph passes; the search would leave a path, which is
+   bipartite, after its first start and stop there with no path grown.
 
 2b. Refute from the far side, once, before stage 3 grows its first path.
    At the first start s that stage 3 does not skip (s lies in a
@@ -149,10 +159,30 @@ def _odd_cycle_condition(g: Graph) -> tuple[bool, int]:
         seen |= comp
     else:
         return True, 0
+    if _is_cycle(g, comp):
+        # Stage 1b: comp is one odd cycle; a later component may hold another.
+        return mask_is_bipartite(g, cyclic & ~seen & ~comp), 0
     if _walk_refutes(g, layers, cyclic & ~seen):
         return False, 0
     loose = comp & neighbor_mask(g, g.full_mask & ~cyclic)
-    return _chordless_search(g, _two_core(g, comp, loose))
+    core = _two_core(g, comp, loose)
+    if _is_cycle(g, core):
+        # The core check of stage 3: K has one cycle.
+        return True, 0
+    return _chordless_search(g, core)
+
+
+def _is_cycle(g: Graph, mask: int) -> bool:
+    """Has every vertex of `mask` exactly two neighbors in it?  A connected
+    such mask induces one cycle.  Stops at the first vertex that has not."""
+    adj = g.adj_bits
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if (adj[low.bit_length() - 1] & mask).bit_count() != 2:
+            return False
+        rest ^= low
+    return True
 
 
 def _two_core(g: Graph, comp: int, loose: int) -> int:

@@ -393,6 +393,52 @@ def test_cone_system_matches_general_build_sparse_seeded():
             assert _cone_system(g) == halfspace_system(cone_graph(g)), g
 
 
+def _tight_sets(system: HalfSpaceSystem, ends: list[tuple[int, int]]) -> list[frozenset]:
+    # For each listed inequality, the edge points e_u + e_v it is tight on,
+    # by their index in `ends`: x_i >= 0 on the points that miss i, and
+    # sum_T x <= sum_N(T) x on those with as many ends in T as in N(T).
+    out = [frozenset(k for k, e in enumerate(ends) if i not in e) for i in system.coord_constraints]
+    for t, nb in system.set_constraints:
+        balance = [sum((u in t) - (u in nb) for u in e) for e in ends]
+        out.append(frozenset(k for k, b in enumerate(balance) if b == 0))
+    return sorted(out, key=sorted)
+
+
+def _hull_facets(ends: list[tuple[int, int]], n: int) -> list[frozenset]:
+    # The facets of the edge polytope, each as the set of edge points it is
+    # tight on, from qhull.  The points lie on sum = 2, so dropping the
+    # apex coordinate n + 1 leaves a full-dimensional polytope in R^n.
+    import numpy as np
+    from scipy.spatial import ConvexHull
+
+    points = np.array([[v in e for v in range(1, n + 1)] for e in ends], dtype=float)
+    equations = ConvexHull(points).equations
+    tight = np.abs(points @ equations[:, :-1].T + equations[:, -1]) < 1e-9
+    facets = {frozenset(np.flatnonzero(column).tolist()) for column in tight.T}
+    return sorted(facets, key=sorted)
+
+
+def test_cone_system_matches_qhull_facets():
+    # Each listed inequality is tight on exactly the edge points of one
+    # facet, and each facet is listed once: every graph with n <= 5 and an
+    # edge, where the general build is compared too, and seeded G(n, p)
+    # with n = 6..9.
+    pytest.importorskip("scipy.spatial", exc_type=ImportError)
+    rng = random.Random(8)
+    graphs = [g for n in range(2, 6) for g in all_graphs(n) if g.m]
+    assert len(graphs) == 1094
+    while len(graphs) < 1094 + 300:
+        g = random_graph(rng.randint(6, 9), rng.uniform(0.15, 0.8), seed=rng.randrange(1 << 30))
+        if g.m:
+            graphs.append(g)
+    for g in graphs:
+        ends = list(cone_graph(g).edges)
+        facets = _hull_facets(ends, g.n)
+        assert _tight_sets(_cone_system(g), ends) == facets, g
+        if g.n <= 5:
+            assert _tight_sets(halfspace_system(cone_graph(g)), ends) == facets, g
+
+
 def _built(index: _SearchIndex) -> _SearchIndex:
     # The index with every coordinate's lists built, as a search that
     # entered every level would leave it.

@@ -337,6 +337,73 @@ def test_odd_cycle_condition_with_bipartite_components_around(odd_parts, verdict
     assert seen == verdicts
 
 
+def _one_cycle(k: int, hang: str, rng: random.Random) -> Graph:
+    # C_k on 1..k.  "leaves" hangs single leaves off some of its vertices,
+    # so that the first non-bipartite component of G[deg >= 2] stays the
+    # cycle (stage 1b decides).  "trees" hangs a pendant path of two and
+    # then a random tree, so that the component is more than the cycle and
+    # only its 2-core is (the core check decides).
+    edges = [(v, v % k + 1) for v in range(1, k + 1)]
+    n = k
+    if hang == "leaves":
+        for v in rng.sample(range(1, k + 1), rng.randint(1, k)):
+            n += 1
+            edges.append((v, n))
+    elif hang == "trees":
+        edges += [(rng.randint(1, k), n + 1), (n + 1, n + 2)]
+        n += 2
+        for v in range(n + 1, n + rng.randint(1, 8) + 1):
+            edges.append((rng.randint(1, v - 1), v))
+            n = v
+    return Graph.from_edges(n, edges)
+
+
+def _relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(1, g.n + 1))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+
+
+@pytest.mark.parametrize("hang", ["none", "leaves", "trees"])
+def test_odd_cycle_condition_on_one_cycle_beside_another_component(hang):
+    # One odd cycle, beside K_3, C_4, C_5 or P_4 placed before or after it,
+    # so that label order decides which component is the first
+    # non-bipartite one.  One cycle decides at once: no path grows.
+    rng = random.Random(30)
+    seen = set()
+    for k in range(3, 22, 2):
+        for other in (complete(3), cycle(4), cycle(5), path(4)):
+            one = _one_cycle(k, hang, rng)
+            for g in (disjoint_union(one, other), disjoint_union(other, one)):
+                for h in (g, _relabeled(g, rng), _relabeled(g, rng)):
+                    answer = satisfies_odd_cycle_condition_pairwise(h)
+                    assert rees._odd_cycle_condition(h) == (answer, 0), h
+                    seen.add(answer)
+    assert seen == {True, False}
+
+
+def _raises(*args):
+    raise AssertionError("stage reached")
+
+
+def test_one_cycle_is_decided_before_stages_2_and_3(monkeypatch):
+    # A 2-regular first non-bipartite component is answered in stage 1b,
+    # from the components after it; a 2-core that is one cycle before
+    # stage 3 starts.
+    monkeypatch.setattr(rees, "_chordless_search", _raises)
+    walks = []
+    monkeypatch.setattr(rees, "_walk_refutes", lambda *args: walks.append(args))
+    trees = _one_cycle(9, "trees", random.Random(3))
+    assert rees._odd_cycle_condition(disjoint_union(trees, path(4))) == (True, 0)
+    assert len(walks) == 1
+    monkeypatch.setattr(rees, "_walk_refutes", _raises)
+    assert rees._odd_cycle_condition(disjoint_union(cycle(7), path(5))) == (True, 0)
+    assert rees._odd_cycle_condition(disjoint_union(path(5), cycle(7))) == (True, 0)
+    assert rees._odd_cycle_condition(disjoint_union(cycle(7), complete(3))) == (False, 0)
+    leaves = _one_cycle(7, "leaves", random.Random(3))
+    assert rees._odd_cycle_condition(disjoint_union(leaves, cycle(4))) == (True, 0)
+
+
 def test_nonbipartite_blocks_match_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(9)

@@ -600,6 +600,21 @@ def test_cli_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     assert captured.err == "internal error: blossom lost a vertex\n"
 
 
+class _ClosedPipe(io.StringIO):
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["classify", "ged"])
+def test_cli_closed_stdout_exits_141_quietly(command, tmp_path, monkeypatch, capsys):
+    # A reader that went away (`| head -1`) is not an input error: the exit
+    # code is 128 + SIGPIPE and nothing is written to stderr.
+    spec = _write(tmp_path, "c5.txt", cycle(5))
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main([command, spec, "--json"]) == cli.EXIT_BROKEN_PIPE == 141
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
