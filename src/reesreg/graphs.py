@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphFormatError, InstanceTooLargeError
@@ -164,12 +165,67 @@ def parse_graph(text: str) -> Graph:
 
     One leading byte-order mark (U+FEFF) is dropped.  Lines starting with
     '#' and blank lines are ignored.  The first data line is "n m"; exactly
-    m edge lines "u v" follow, in any order, either endpoint first.  One
-    pass splits each line once.  A bad header is reported at once; then a
+    m edge lines "u v" follow, in any order, either endpoint first.  The
+    Graph constructor checks the result.
+
+    A text in the form `write_graph` gives, in any line order and either
+    endpoint first, is read in whole columns by `_parse_bulk`.  Every other
+    text, and every text with a fault, is walked line by line by
+    `_parse_lines`, which names the fault: a bad header at once; then a
     wrong edge-line count; then the first bad line, loop or out-of-range
-    label; and a repeat only if every line passes those checks.  The Graph
-    constructor checks the result.
+    label; and a repeat only if every line passes those checks.  The bulk
+    path returns only the graph that walk would return, so every graph,
+    every message and their precedence are the walk's.
     """
+    body = text.removeprefix("\ufeff")
+    g = _parse_bulk(body)
+    return _parse_lines(body) if g is None else g
+
+
+def _parse_bulk(body: str) -> Graph | None:
+    """The graph of `body` when it is ASCII digits in lines of two numbers
+    joined by one space, each line ended by a newline, the first line
+    "n m" and the m lines after it edges in 1..n with no loop or repeat;
+    else None.  One pass over the text checks its form and one split reads
+    its numbers, so nothing is built per line; each distinct label is
+    converted once; the checks run over whole columns; and edges given with
+    the smaller endpoint first and in order are not sorted."""
+    line_count = body.count("\n")
+    # With the digits taken out, the text must be " \n" once per line.
+    gaps = body.translate(str.maketrans("", "", "0123456789"))
+    if not line_count or gaps != " \n" * line_count:
+        return None
+    tokens = body.split()
+    # Two numbers on each line, none of them empty.
+    if len(tokens) != 2 * line_count:
+        return None
+    heads, tails = tokens[2::2], tokens[3::2]
+    try:
+        n, m = int(tokens[0]), int(tokens[1])
+        distinct = {*heads, *tails}
+        label = dict(zip(distinct, map(int, distinct)))
+    except ValueError:
+        return None
+    if m != len(heads):
+        return None
+    if m and (min(label.values()) < 1 or max(label.values()) > n):
+        return None
+    us = list(map(label.__getitem__, heads))
+    vs = list(map(label.__getitem__, tails))
+    if not all(map(lt, us, vs)):
+        us, vs = list(map(min, us, vs)), list(map(max, us, vs))
+        if not all(map(lt, us, vs)):
+            return None
+    edges = list(zip(us, vs))
+    if not all(map(lt, edges, itertools.islice(edges, 1, None))):
+        edges.sort()
+        if not all(map(lt, edges, itertools.islice(edges, 1, None))):
+            return None
+    return Graph(n, tuple(edges))
+
+
+def _parse_lines(body: str) -> Graph:
+    # The line walk of `parse_graph`.
     n = m = -1
     found = 0
     fault = None
@@ -177,7 +233,7 @@ def parse_graph(text: str) -> Graph:
     # order then sorts in linear time.
     edges: dict[tuple[int, int], None] = {}
     repeat = None
-    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+    for lineno, line in enumerate(body.splitlines(), start=1):
         parts = line.split()
         if not parts or parts[0][0] == "#":
             continue

@@ -9,11 +9,12 @@ and mat(G) + 1 otherwise.
 
 No polynomial test of the odd cycle condition is known to us.
 `satisfies_odd_cycle_condition` decides it in three stages, with an answer
-for one cycle (1b) after the first and a second refutation (2b) at the start
-of the third, each sound on its own.  Stages 1, 1b and 2 see only the
-vertices of degree >= 2: one of degree <= 1 is a leaf or isolated in every
-induced subgraph, on no cycle and cutting no component, so dropping them
-keeps the components, their bipartiteness and every odd cycle.
+for one cycle (1b) after the first and a second refutation (2b) inside the
+third, before its first path grows, each sound on its own.  Stages 1, 1b
+and 2 see only the vertices of degree >= 2: one of degree <= 1 is a leaf or
+isolated in every induced subgraph, on no cycle and cutting no component,
+so dropping them keeps the components, their bipartiteness and every odd
+cycle.
 
 1. A bipartite graph has no odd cycle, so it passes.
 1b. One cycle.  When K, the first non-bipartite component, is 2-regular,
@@ -55,6 +56,14 @@ keeps the components, their bipartiteness and every odd cycle.
      shrinks as P grows, so a path is dropped once the set is bipartite.
      The search carries the union of the set's non-bipartite components:
      an odd cycle left after an extension lies inside it.
+   Within a start s the tests run cheapest and most telling first: the
+   count of later vertices beyond N[s]; whether s lies in a non-bipartite
+   block, once the blocks are known; then the odd part of G[later - N[s]]
+   (the union of its non-bipartite components).  Only when that part is
+   empty is G[later] tested, to stop the starts if it is bipartite; a
+   non-empty part already shows that it is not.  At the first start with
+   a non-empty part come stage 2b's first try and then the block pass,
+   and paths grow from s only inside its blocks.
    The search is still exponential in the worst case, so it raises
    InstanceTooLargeError after OCC_STEP_LIMIT induced paths.
    The core check comes first: a 2-core that is 2-regular is one cycle,
@@ -62,16 +71,20 @@ keeps the components, their bipartiteness and every odd cycle.
    bipartite.  The graph passes; the search would leave a path, which is
    bipartite, after its first start and stop there with no path grown.
 
-2b. Refute from the far side, once, before stage 3 grows its first path.
-   At the first start s that stage 3 does not skip (s lies in a
-   non-bipartite block, and G[later - N[s]] has an odd cycle), the BFS
-   of the odd part of G[later - N[s]] closes an odd walk W' in its first
-   component, and the graph fails when G[K - N[W']] is not bipartite.
-   This is stage 2's argument again: W' lies in K and holds an odd cycle
-   C', N[C'] lies in N[W'], and every odd cycle lies in K.  A violation
-   that stage 3 would find only after many paths often shows here at
-   once.  A passing graph is never refuted, so its answer and the paths
-   its search grew do not change.
+2b. Refute from the far side, at most twice, before stage 3 grows its
+   first path.  At a start s where G[later - N[s]] has an odd cycle, the
+   BFS of the odd part of G[later - N[s]] closes an odd walk W' in its
+   first component, and the graph fails when G[K - N[W']] is not
+   bipartite.  This is stage 2's argument again: W' lies in K and holds an
+   odd cycle C', N[C'] lies in N[W'], and every odd cycle lies in K.  So
+   the test is sound at any start.  It is tried at the first start with an
+   odd part, before the block pass, which a refuted graph then never pays
+   for; and again at the first start that grows paths, when that is a
+   later start.  A violation that stage 3 would find only after many
+   paths often shows here at once.  Each try can only refute, and a
+   passing graph is never refuted, so its answer and the paths its search
+   grew do not change; a failing graph fails either way and grows at most
+   the paths it grew before.
 """
 
 from __future__ import annotations
@@ -284,10 +297,11 @@ def _chordless_search(g: Graph, comp: int) -> tuple[bool, int]:
     the number of induced paths grown."""
     adj = g.adj_bits
     # in_block[s]: the union of the non-bipartite blocks that hold s.  It
-    # is built at the first start that survives the cheaper tests, which on
-    # a dense graph is often none.
+    # is built at the first start with an odd part beyond N[s], which on a
+    # dense graph is often none.
     in_block = None
-    far_tried = False
+    # The start of stage 2b's first try, until its second try is decided.
+    far_start = None
 
     def shrink(live: int, w: int) -> int:
         # The odd part of g[far - N[w]], where `live` is that of g[far].
@@ -307,12 +321,17 @@ def _chordless_search(g: Graph, comp: int) -> tuple[bool, int]:
             continue
         if in_block is not None and not in_block[s] & above:
             continue
-        if mask_is_bipartite(g, above):
-            break
         live = _odd_part(g, above & ~s_adj)
         if not live:
+            # Only now can g[above] be bipartite.
+            if mask_is_bipartite(g, above):
+                break
             continue
         if in_block is None:
+            # Stage 2b's first try, before the block pass.
+            if _far_side_refutes(g, comp, live):
+                return False, 0
+            far_start = s
             in_block = [0] * (g.n + 1)
             for block in _blocks(g, comp):
                 if not mask_is_bipartite(g, block):
@@ -323,11 +342,12 @@ def _chordless_search(g: Graph, comp: int) -> tuple[bool, int]:
         inside = in_block[s] & above
         if not inside:
             continue
-        if not far_tried:
-            # Stage 2b, once, before the first path grows.
-            far_tried = True
-            if _far_side_refutes(g, comp, live):
+        if far_start is not None:
+            # Stage 2b's second try, before the first path grows, unless
+            # the first was made at this start.
+            if far_start != s and _far_side_refutes(g, comp, live):
                 return False, 0
+            far_start = None
         # Induced paths s, v1, ..., last, each as (last, v1, path mask,
         # closed neighborhood of the vertices strictly between s and last,
         # vertex count, odd part of g[above - N[path]]).

@@ -20,7 +20,9 @@ where the library runs the blossom search.  The independence number is the
 size of the library's brute-force `max_independent_set`, under its guard,
 and the chordless odd cycles are the library's unbudgeted enumeration,
 sorted; the library decides the Konig property and the odd cycle
-condition without either.
+condition without either.  The edge-list reference walks every text line
+by line, where the library reads a text in `write_graph`'s form in whole
+columns and walks only the rest.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import itertools
 from reesreg import (
     GallaiEdmonds,
     Graph,
+    GraphFormatError,
     HalfSpaceSystem,
     InstanceTooLargeError,
     induced_subgraph,
@@ -204,3 +207,66 @@ def strict_at_some_edge(g: Graph, t: VertexSet, nb: VertexSet) -> bool:
     t_set = set(t)
     n_set = set(nb)
     return any(len(t_set & {u, v}) < len(n_set & {u, v}) for u, v in g.edges)
+
+
+def parse_graph_lines(text: str) -> Graph:
+    """Parse the edge-list format.
+
+    One leading byte-order mark (U+FEFF) is dropped.  Lines starting with
+    '#' and blank lines are ignored.  The first data line is "n m"; exactly
+    m edge lines "u v" follow, in any order, either endpoint first.  One
+    pass splits each line once.  A bad header is reported at once; then a
+    wrong edge-line count; then the first bad line, loop or out-of-range
+    label; and a repeat only if every line passes those checks.  The Graph
+    constructor checks the result.
+    """
+    n = m = -1
+    found = 0
+    fault = None
+    # An insertion-ordered dict, not a set: a file written in canonical
+    # order then sorts in linear time.
+    edges: dict[tuple[int, int], None] = {}
+    repeat = None
+    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+        parts = line.split()
+        if not parts or parts[0][0] == "#":
+            continue
+        if n < 0:
+            if len(parts) != 2:
+                raise GraphFormatError(
+                    f"line {lineno}: header must be 'n m', got {line.strip()!r}"
+                )
+            try:
+                n, m = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: header must be two integers") from None
+            if n < 0 or m < 0:
+                raise GraphFormatError(f"line {lineno}: n and m must be >= 0")
+            continue
+        found += 1
+        if fault is not None:
+            continue
+        if len(parts) != 2:
+            fault = f"line {lineno}: edge line must be 'u v', got {line.strip()!r}"
+            continue
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            fault = f"line {lineno}: edge line must be two integers"
+            continue
+        if u == v:
+            fault = f"line {lineno}: loop at vertex {u}"
+        elif not (1 <= u <= n and 1 <= v <= n):
+            fault = f"line {lineno}: edge {u} {v} out of range 1..{n}"
+        else:
+            e = (u, v) if u < v else (v, u)
+            if repeat is None and e in edges:
+                repeat = f"line {lineno}: duplicate edge {e[0]} {e[1]}"
+            edges[e] = None
+    if n < 0:
+        raise GraphFormatError("no header line 'n m' found")
+    if found != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {found}")
+    if fault is not None or repeat is not None:
+        raise GraphFormatError(fault or repeat)
+    return Graph(n, tuple(sorted(edges)))

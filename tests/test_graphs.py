@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import random
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from reference import chordless_odd_cycles, independence_number
+from reference import chordless_odd_cycles, independence_number, parse_graph_lines
 from reesreg import (
     Graph,
     GraphFormatError,
@@ -35,6 +36,7 @@ from reesreg import (
     regularity,
     write_graph,
 )
+from reesreg import graphs as graphs_module
 from reesreg.corpus import all_graphs, exhaustive_graphs, random_graphs
 from reesreg.decomposition import INDEPENDENT_ENUM_LIMIT
 from reesreg.graphs import (
@@ -257,6 +259,113 @@ def test_parse_round_trip_in_any_line_order(g, rng):
         lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  ", "# note", "  # 1 2"]))
     text = "\n".join(lines) + "\n"
     assert parse_graph(text) == g
+
+
+# Every line break `str.splitlines` knows, and tokens that `int` reads in
+# ways a digit check would not ("1_0" is 10, U+0663 is 3) or refuses.
+_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028")
+_ODD_TOKENS = ("+2", "01", "1_0", "\u0663", "0", "-1", "x")
+# Whitespace around and between the tokens of a line, not all of it ASCII.
+_PADDING = ("", "", " ", "\t", "\x1f")
+_SEPARATORS = (" ", " ", " ", "  ", "\t", " \x1f", "\u3000 ")
+
+
+def _fuzzed_edge_list(rng: random.Random) -> str:
+    # An edge-list text that is well formed about half the time.  Each
+    # fault is drawn on its own, so a text may hold several at once.
+    n = rng.randint(0, 9)
+    pairs = [(u, v) for u, v in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.4]
+    if rng.random() < 0.5:
+        rng.shuffle(pairs)
+    rows = [[str(v), str(u)] if rng.random() < 0.5 else [str(u), str(v)] for u, v in pairs]
+
+    def insert(row: list[str]) -> None:
+        rows.insert(rng.randrange(len(rows) + 1), row)
+
+    if rows and rng.random() < 0.12:
+        insert(rng.choice(rows)[::rng.choice((1, -1))])
+    if rng.random() < 0.08:
+        k = str(rng.randint(1, n + 1))
+        insert([k, k])
+    if rng.random() < 0.08:
+        insert([str(n + rng.randint(1, 3)), str(rng.randint(1, n + 1))])
+    if rows and rng.random() < 0.15:
+        row = rng.choice(rows)
+        row[rng.randrange(2)] = rng.choice(_ODD_TOKENS)
+    if rows and rng.random() < 0.06:
+        row = rng.choice(rows)
+        row[:] = row[:1] if rng.random() < 0.5 else row + [rng.choice(row)]
+    # The header's edge count is one off now and then.
+    header = [str(n), str(len(rows) + rng.choice((-1, 1)) * (rng.random() < 0.08))]
+    if rng.random() < 0.06:
+        header = header[:1] if rng.random() < 0.5 else header + ["1"]
+    if rng.random() < 0.06:
+        header[rng.randrange(len(header))] = rng.choice(_ODD_TOKENS)
+    # Half the texts are laid out as `write_graph` lays them out.
+    plain = rng.random() < 0.5
+    if plain:
+        lines = [" ".join(r) for r in [header] + rows]
+    else:
+        lines = [
+            rng.choice(_PADDING) + rng.choice(_SEPARATORS).join(r) + rng.choice(_PADDING)
+            for r in [header] + rows
+        ]
+    if rng.random() < 0.02:
+        lines = []
+    for _ in range(rng.choice((0, 0, 0, 1, 3))):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(("", "  ", "# 1 2", " #x")))
+    if not lines:
+        return ""
+    breaks = ("\n",) if plain else rng.choice((("\n",), ("\r\n",), ("\r",), _BREAKS))
+    text = "".join(line + rng.choice(breaks) for line in lines[:-1])
+    text += lines[-1] + (breaks[0] if plain else rng.choice(breaks + ("",)))
+    return "\ufeff" * rng.choice((0, 0, 0, 0, 1, 1, 2)) + text
+
+
+# A fragment of each message of `parse_graph_lines`.
+_FAULTS = (
+    "no header",
+    "header must be 'n m'",
+    "header must be two integers",
+    "must be >= 0",
+    "expected",
+    "edge line must be 'u v'",
+    "edge line must be two integers",
+    "loop",
+    "out of range",
+    "duplicate",
+)
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        return parse(text)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def test_parse_matches_the_line_by_line_reference_on_fuzzed_texts(monkeypatch):
+    # The bulk path must return the reference's graph, and every text it
+    # declines must get the reference's exception and message.
+    walked = []
+    walk = graphs_module._parse_lines
+    monkeypatch.setattr(
+        graphs_module, "_parse_lines", lambda *args: walked.append(1) or walk(*args)
+    )
+    rng = random.Random(2031)
+    kinds = collections.Counter()
+    for _ in range(10_000):
+        text = _fuzzed_edge_list(rng)
+        del walked[:]
+        got = _parse_outcome(parse_graph, text)
+        assert got == _parse_outcome(parse_graph_lines, text), repr(text)
+        if isinstance(got, Graph):
+            kinds["walked" if walked else "bulk"] += 1
+        else:
+            kinds[next(f for f in _FAULTS if f in got[1])] += 1
+    # Both paths accept texts, and every kind of fault is met.
+    assert kinds["bulk"] > 1000 and kinds["walked"] > 1000, kinds
+    assert all(kinds[fault] > 50 for fault in _FAULTS), kinds
 
 
 def test_generator_families():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from functools import partial
 from itertools import islice
@@ -499,6 +500,78 @@ def test_far_side_refutation_keeps_every_passing_search(monkeypatch):
     # The stream holds violations that stage 2b refutes before stage 3
     # finds them.
     assert refuted > 0
+
+
+def _stage_3_pool() -> list[Graph]:
+    # Every graph with n <= 6 (33,868 of them), then seeded dense G(n, p)
+    # in the classify range and seeded sparse G(n, c/n).
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    rng = random.Random(31)
+    for _ in range(600):
+        n = rng.randint(7, 31)
+        graphs.append(random_graph(n, rng.uniform(0.1, 0.5), seed=rng.randrange(1 << 30)))
+    for _ in range(600):
+        n = rng.randint(7, 60)
+        c = rng.uniform(1.0, 4.0)
+        graphs.append(random_graph(n, min(1.0, c / n), seed=rng.randrange(1 << 30)))
+    return graphs
+
+
+# What `_odd_cycle_condition` returned on the pool above, before stage 2b's
+# first try moved ahead of the block pass: the sha256 of the repr of the
+# list of (answer, steps if answer else None), and the paths grown on each
+# failing graph that grew any, by index past the n <= 6 graphs.
+_STAGE_3_POOL_DIGEST = "e76265e5421bd3c97667a6e9f83bf76acf9e045896dd3fc93b891b9ab1fe1a17"
+_STAGE_3_POOL_FAILING_STEPS = {
+    5: 3, 11: 12, 20: 3, 41: 3, 51: 3, 69: 4, 76: 1, 77: 6, 92: 2, 93: 5, 97: 2,
+    104: 1, 107: 2, 112: 6, 114: 2, 119: 7, 125: 3, 128: 6, 130: 3, 134: 2, 145: 1,
+    146: 5, 149: 2, 160: 8, 175: 6, 190: 2, 207: 5, 209: 11, 218: 1, 220: 5,
+    223: 29, 227: 8, 234: 1, 237: 7, 243: 1, 262: 1, 272: 4, 294: 2, 308: 3, 320: 7,
+    329: 3, 332: 4, 336: 4, 339: 4, 350: 3, 373: 1, 381: 35, 383: 11, 400: 2,
+    406: 11, 414: 7, 424: 1, 435: 1, 446: 2, 454: 1, 455: 5, 464: 4, 475: 4, 480: 8,
+    481: 1, 482: 1, 500: 1, 503: 12, 505: 15, 517: 16, 524: 4, 525: 2, 572: 1,
+    573: 9, 589: 4, 598: 2, 607: 40, 656: 57, 672: 3, 675: 1, 676: 1, 697: 1,
+    700: 115, 711: 14, 713: 5, 718: 12, 730: 92, 753: 1, 836: 29, 890: 8, 915: 96,
+    928: 5, 929: 6, 938: 27, 972: 23, 978: 15, 979: 71, 990: 40, 993: 88, 995: 27,
+    1018: 5, 1124: 8, 1153: 30, 1172: 9,
+}
+
+
+def test_stage_3_order_keeps_answers_and_passing_searches(monkeypatch):
+    # Within a start, stage 3 finds the odd part beyond N[s] before it
+    # tests the later vertices for bipartiteness, and tries stage 2b at the
+    # first start with an odd part, before the block pass.  Every answer
+    # and every passing search stays as it was, and no failing graph grows
+    # more paths.
+    graphs = _stage_3_pool()
+    found = [rees._odd_cycle_condition(g) for g in graphs]
+    shown = repr([(answer, steps if answer else None) for answer, steps in found])
+    assert hashlib.sha256(shown.encode()).hexdigest() == _STAGE_3_POOL_DIGEST
+    small = len(graphs) - 1200
+    for i, (answer, steps) in enumerate(found):
+        if not answer:
+            assert steps <= _STAGE_3_POOL_FAILING_STEPS.get(i - small, 0), graphs[i]
+    # A graph that the first try refutes never reaches the block pass.
+    tries = []
+    far = rees._far_side_refutes
+
+    def recorded(*args):
+        tries.append(far(*args))
+        return tries[-1]
+
+    monkeypatch.setattr(rees, "_far_side_refutes", recorded)
+    monkeypatch.setattr(rees, "_blocks", _raises)
+    refuted = 0
+    for g, (answer, steps) in zip(graphs, found):
+        del tries[:]
+        try:
+            assert rees._odd_cycle_condition(g) == (answer, steps)
+        except AssertionError as err:
+            assert str(err) == "stage reached" and tries == [False], g
+            continue
+        refuted += tries == [True]
+        assert tries in ([], [True]), g
+    assert refuted > 20
 
 
 def test_odd_cycle_condition_step_budget(monkeypatch, tmp_path, capsys):
