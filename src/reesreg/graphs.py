@@ -26,6 +26,11 @@ VertexSet = tuple[int, ...]
 # 17,711 of them, and each 6 vertices more cost 8 to 9 times as much.
 INDEPENDENT_ENUM_LIMIT = 20
 
+# Most vertices a graph may have.  Its adjacency list holds a slot per
+# vertex before any edge is read, 80 MB at this count; a count far past it
+# would fail in the allocation itself, with a MemoryError or OverflowError.
+VERTEX_LIMIT = 10_000_000
+
 
 def mask_of(labels: Iterable[int]) -> int:
     """Bitmask with bit v set for each label v."""
@@ -61,9 +66,11 @@ class Graph:
     (u, v) pairs with 1 <= u < v <= n and no repeats, else ValueError.  n and
     every label must be of type int: a bool, a float or any other type is
     refused by a ValueError that names it, so every graph that is accepted
-    writes out and parses back.  Edges given as a list, or as pairs that
-    are not tuples, are stored as a tuple of tuples; edges that are not an
-    iterable of iterables are refused by a ValueError that names them.
+    writes out and parses back.  An n past VERTEX_LIMIT is refused by a
+    ValueError that names it, before the adjacency list is built.  Edges
+    given as a list, or as pairs that are not tuples, are stored as a tuple
+    of tuples; edges that are not an iterable of iterables are refused by a
+    ValueError that names them.
     `Graph.from_edges` orients and sorts arbitrary input.
 
     `_facts` keeps what the package has computed about this graph, so that
@@ -82,6 +89,8 @@ class Graph:
         n = self.n
         if type(n) is not int or n < 0:
             raise ValueError(f"vertex count must be an int >= 0, got {n!r}")
+        if n > VERTEX_LIMIT:
+            raise ValueError(f"vertex count {n} exceeds VERTEX_LIMIT = {VERTEX_LIMIT}")
         if type(self.edges) is not tuple:
             object.__setattr__(self, "edges", _edge_tuples(self.edges))
         bits = [0] * (n + 1)
@@ -594,6 +603,12 @@ def _independent_of_size(
     does, so given a `cap`, a partial T whose N(T) has more than cap
     members is dropped with everything below it.
 
+    The walk runs in this one frame.  Depth d chooses member d + 1 among
+    its candidates: the vertices above member d, outside N(T), and low
+    enough to leave room for the members after it.  Going down, depth d
+    keeps in per-depth arrays the candidates it has not tried yet and the
+    T and N(T) of the members above it; backing up restores them.
+
     Every walk over independent sets comes through here, so this is the
     guard: past INDEPENDENT_ENUM_LIMIT vertices it raises
     InstanceTooLargeError before its first item."""
@@ -606,20 +621,37 @@ def _independent_of_size(
     if k == 0:
         yield 0, 0
         return
-
-    def rec(start: int, chosen: int, nb: int, need: int) -> Iterator[tuple[int, int]]:
-        for v in range(start, n - need + 2):
-            if nb >> v & 1:
-                continue
-            nb_v = nb | adj[v]
+    last = k - 1
+    # Member d + 1 is at most top + d, so that k - 1 - d vertices fit above.
+    top = n - last
+    todo_at = [0] * k
+    t_at = [0] * k
+    nb_at = [0] * k
+    d = t = nb = 0
+    todo = (2 << top) - 2 if top > 0 else 0
+    while True:
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            nb_v = nb | adj[bit.bit_length() - 1]
             if nb_v.bit_count() > cap:
                 continue
-            if need == 1:
-                yield chosen | 1 << v, nb_v
-            else:
-                yield from rec(v + 1, chosen | 1 << v, nb_v, need - 1)
-
-    yield from rec(1, 0, 0, k)
+            if d == last:
+                yield t | bit, nb_v
+                continue
+            todo_at[d] = todo
+            t_at[d] = t
+            nb_at[d] = nb
+            d += 1
+            t |= bit
+            nb = nb_v
+            todo = ((2 << top + d) - (bit << 1)) & ~nb_v
+        if not d:
+            return
+        d -= 1
+        todo = todo_at[d]
+        t = t_at[d]
+        nb = nb_at[d]
 
 
 def _independent_from(g: Graph, k: int) -> Iterator[tuple[int, int]]:

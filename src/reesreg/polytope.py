@@ -261,7 +261,7 @@ def _cone_options(g: Graph, comp: int, bipartite: bool) -> list[tuple[int, int]]
         else:
             # Fewer than three vertices left hold no odd cycle.
             rest = comp & ~closed
-            if rest and (rest.bit_count() < 3 or not _all_components_odd(g, rest)):
+            if rest and (rest.bit_count() < 3 or not _every_component(g, rest, False)):
                 continue
         options.append((chosen, closed & ~chosen))
     return options
@@ -291,16 +291,26 @@ def _cone_constraints(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, int]]]
     if not any(bipartite for _, _, bipartite in components):
         coords += (apex,)
     # One option per component; their masks are disjoint, so a choice's
-    # T and N(T) are the unions of its parts'.
-    options = [_cone_options(g, comp, bipartite) for comp, _, bipartite in components]
+    # T and N(T) are the unions of its parts'.  A component with a single
+    # option, such as an isolated vertex, adds it to every choice, so it
+    # is folded into the fixed part before the product.
+    fixed_t, fixed_nb = 0, apex_bit
+    options = []
+    for comp, _, bipartite in components:
+        found = _cone_options(g, comp, bipartite)
+        if len(found) == 1:
+            fixed_t |= found[0][0]
+            fixed_nb |= found[0][1]
+        else:
+            options.append(found)
     pairs = [(apex_bit, g.full_mask)]
     for choice in product(*options):
-        t = nb = 0
+        t, nb = fixed_t, fixed_nb
         for part, part_nb in choice:
             t |= part
             nb |= part_nb
         if t:
-            pairs.append((t, nb | apex_bit))
+            pairs.append((t, nb))
     _guard(adj, coords, pairs)
     return coords, pairs
 
@@ -371,13 +381,20 @@ def _enumerable_cone_system(g: Graph, q: int) -> HalfSpaceSystem:
 class _SearchIndex(NamedTuple):
     # What the lattice search needs of a system beyond q and strictness, by
     # 0-based coordinate i and constraint number c, for set constraints
-    # whose T and N are disjoint.  The first five fields come from one pass
+    # whose T and N are disjoint.  The first nine fields come from one pass
     # over the constraints; the five lists per coordinate after them are
     # None until `level` builds them, when a search first enters i.
-    listed: tuple[bool, ...]  # x_i >= 0 is listed
+    listed: tuple[int, ...]  # 1 if x_i >= 0 is listed, else 0
     balance: list[int]  # |N & listed| - |T & listed|
     last_n: list[int]  # the last coordinate in N, or -1
     rows: list[tuple[int, int, int]]  # (T, N, the last bit of N), as masks
+    # Four values the search reads instead of walking the constraints:
+    # the two least balances are n + 1, above every balance, when no
+    # constraint of their kind exists.
+    least_2q: int  # the least 2q the precheck of _search can pass
+    start: int  # the first coordinate that ends an N, or n - 1 if none
+    least_balance_n: int  # the least balance of a constraint with an N
+    least_balance_no_n: int  # the least balance of one with an empty N
     # The bound each c puts on the next value e_i (see _search).
     floor_at: list[list[int]]  # e_i >= -slack: i is the last of N
     plus: list[list[int] | None]  # the c with i in N
@@ -414,18 +431,33 @@ def _index_masks(n: int, listed: int, pairs: Iterable[tuple[int, int]]) -> _Sear
     last_n = []
     floor_at: list[list[int]] = [[] for _ in range(n)]
     rows = []
+    start = n - 1
+    least_n = least_no_n = n + 1
     for c, (t, nb) in enumerate(pairs):
-        balance.append((nb & listed).bit_count() - (t & listed).bit_count())
+        b = (nb & listed).bit_count() - (t & listed).bit_count()
+        balance.append(b)
         last = nb.bit_length() - 1
-        last_n.append(last - 1 if nb else -1)
         if nb:
+            last_n.append(last - 1)
             floor_at[last - 1].append(c)
+            if last <= start:
+                start = last - 1
+            if b < least_n:
+                least_n = b
+        else:
+            last_n.append(-1)
+            if b < least_no_n:
+                least_no_n = b
         rows.append((t, nb, last))
-    is_listed = tuple(bool(listed >> v & 1) for v in range(1, n + 1))
+    is_listed = tuple(listed >> v & 1 for v in range(1, n + 1))
+    # With every listed coordinate at 1, 2q covers them all and leaves
+    # each constraint with an N one more on its N side than on its T side.
+    count = listed.bit_count()
     unbuilt = [None] * n
     return _SearchIndex(
-        is_listed, balance, last_n, rows, floor_at,
-        unbuilt, unbuilt[:], unbuilt[:], unbuilt[:], unbuilt[:],
+        is_listed, balance, last_n, rows,
+        max(count, count - least_n + 1), start, least_n, least_no_n,
+        floor_at, unbuilt, unbuilt[:], unbuilt[:], unbuilt[:], unbuilt[:],
     )
 
 
@@ -435,11 +467,7 @@ def _least_dilation(index: _SearchIndex) -> int:
     # them all, and each constraint with an N coordinate can still be made
     # strict, 2q >= listed - balance + 1.  A constraint with no N
     # coordinate fails every q alike.
-    listed = sum(index.listed)
-    need = max(
-        [listed] + [listed - b + 1 for b, last in zip(index.balance, index.last_n) if last >= 0]
-    )
-    return max(1, (need + 1) // 2)
+    return max(1, (index.least_2q + 1) // 2)
 
 
 def _points(system: HalfSpaceSystem, q: int, strict: bool) -> Iterator[LatticePoint]:
@@ -490,14 +518,20 @@ def _search(index: _SearchIndex, n: int, q: int, strict: bool) -> Iterator[Latti
     # more.  A skipped level's top is computed, and its lists built, only
     # when the search backs up into it; every level after it is then done
     # and undone, so slack and its budget are what they were on entry.
-    low = 1 if strict else 0
-    mins = [low if is_listed else 0 for is_listed in index.listed]
+    mins = list(index.listed) if strict else [0] * n
     excess = UNIT_COORDINATE_SUM * q - sum(mins)
-    slack = [low * (b - 1) for b in index.balance]
-    if not n or excess < 0 or any(
-        s + (excess if last >= 0 else 0) < 0 for s, last in zip(slack, index.last_n)
-    ):
+    if not n or excess < 0:
         return
+    # The precheck: no completion exists when some slack + excess, or the
+    # slack alone for an empty N, is negative.  Each slack starts at
+    # low * (balance - 1), so the least balance of each kind decides it,
+    # and without `strict` every slack starts at 0.
+    if strict:
+        if index.least_balance_n - 1 + excess < 0 or index.least_balance_no_n - 1 < 0:
+            return
+        slack = [b - 1 for b in index.balance]
+    else:
+        slack = [0] * len(index.balance)
     plus, minus = index.plus, index.minus
     floor_at, spend, spend2, cap = index.floor_at, index.spend, index.spend2, index.cap
     get = slack.__getitem__
@@ -507,7 +541,7 @@ def _search(index: _SearchIndex, n: int, q: int, strict: bool) -> Iterator[Latti
     left = [excess] * n
     last = n - 1
     # Levels start..deep have their lists built.
-    i = start = deep = min((c for c in index.last_n if c >= 0), default=last)
+    i = start = deep = index.start
     index.level(i)
     while True:
         # Enter level i: the interval of values its bounds allow.

@@ -16,11 +16,13 @@ bitmasks from the deficiency up and cuts a partial T by the size of N(T);
 the implicit-equality reference scans
 every edge, where the library reads the answer off neighborhood masks.
 The matching number reference is a branch and bound over the edge list,
-where the library runs the blossom search.  The independence number is the
-size of the library's brute-force `max_independent_set`, under its guard,
-and the chordless odd cycles are the library's unbudgeted enumeration,
-sorted; the library decides the Konig property and the odd cycle
-condition without either.  The edge-list reference walks every text line
+where the library runs the blossom search.  The independent-set walk
+reference recurses through one generator frame per member, where the
+library walks in one frame with per-depth arrays.  The independence number
+is the size of the library's brute-force `max_independent_set`, under its
+guard, and the chordless odd cycles are the library's unbudgeted
+enumeration, sorted; the library decides the Konig property and the odd
+cycle condition without either.  The edge-list reference walks every text line
 by line, where the library reads a text in `write_graph`'s form in whole
 columns and walks only the rest.
 """
@@ -28,6 +30,7 @@ columns and walks only the rest.
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 from reesreg import (
     GallaiEdmonds,
@@ -88,6 +91,37 @@ def matching_number_bruteforce(g: Graph) -> int:
 def independence_number(g: Graph) -> int:
     """The size of `max_independent_set`, under its guard."""
     return len(max_independent_set(g))
+
+
+def independent_of_size_recursive(
+    g: Graph, k: int, cap: int | None = None
+) -> Iterator[tuple[int, int]]:
+    """The (T, N(T)) mask pairs of `graphs._independent_of_size`, by a
+    chain of generator frames, one per member: each tries the vertices
+    from the one after the last member up, skips those in N(T) and those
+    that take N(T) past `cap`, and recurses for the next member.  No
+    guard."""
+    n = g.n
+    adj = g.adj_bits
+    if cap is None:
+        cap = n
+    if k == 0:
+        yield 0, 0
+        return
+
+    def rec(start: int, chosen: int, nb: int, need: int) -> Iterator[tuple[int, int]]:
+        for v in range(start, n - need + 2):
+            if nb >> v & 1:
+                continue
+            nb_v = nb | adj[v]
+            if nb_v.bit_count() > cap:
+                continue
+            if need == 1:
+                yield chosen | 1 << v, nb_v
+            else:
+                yield from rec(v + 1, chosen | 1 << v, nb_v, need - 1)
+
+    yield from rec(1, 0, 0, k)
 
 
 def chordless_odd_cycles(g: Graph) -> tuple[Cycle, ...]:

@@ -12,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from reference import chordless_odd_cycles, independence_number, parse_graph_lines
+from reference import (
+    chordless_odd_cycles,
+    independence_number,
+    independent_of_size_recursive,
+    parse_graph_lines,
+)
 from reesreg import (
     Graph,
     GraphFormatError,
@@ -40,6 +45,7 @@ from reesreg import graphs as graphs_module
 from reesreg.corpus import all_graphs, exhaustive_graphs, random_graphs
 from reesreg.decomposition import INDEPENDENT_ENUM_LIMIT
 from reesreg.graphs import (
+    VERTEX_LIMIT,
     _bfs,
     _every_component,
     _independent_of_size,
@@ -164,6 +170,38 @@ def test_graph_rejects_bad_input(n, edges):
     for build in (Graph.from_edges, Graph):
         with pytest.raises(ValueError, match=re.escape(named)):
             build(n, edges)
+
+
+# Vertex counts past VERTEX_LIMIT: one past it, one whose adjacency list
+# would raise MemoryError, and one past sys.maxsize, where it would raise
+# OverflowError.
+TOO_MANY_VERTICES = (VERTEX_LIMIT + 1, 10_000_000_000_000, 99_999_999_999_999_999_999)
+
+
+@pytest.mark.parametrize("n", TOO_MANY_VERTICES)
+def test_graph_refuses_a_vertex_count_past_the_limit(n):
+    # The constructor names n in a ValueError before it builds the
+    # adjacency list, so a huge count fails at once; both parse paths, the
+    # column read and the line walk (a '#' line sends a text there), pass
+    # the refusal on.
+    named = re.escape(f"vertex count {n} exceeds VERTEX_LIMIT")
+    for build in (Graph, Graph.from_edges):
+        for edges in ((), ((1, 2),)):
+            start = time.process_time()
+            with pytest.raises(ValueError, match=named):
+                build(n, edges)
+            assert time.process_time() - start < 0.1
+    columns = (f"{n} 0\n", f"{n} 1\n1 2\n")
+    lines = (f"# big\n{n} 0\n", f"# big\n{n} 1\n2 1\n")
+    for text in columns + lines:
+        for parse in (parse_graph, parse_graph_lines):
+            with pytest.raises(ValueError, match=named):
+                parse(text)
+    for text in columns:
+        with pytest.raises(ValueError, match=named):
+            graphs_module._parse_bulk(text)
+    for text in lines:
+        assert graphs_module._parse_bulk(text) is None
 
 
 def test_parse_basic_with_comments_and_blanks():
@@ -650,6 +688,28 @@ def test_independent_sets_stop_at_the_first_empty_size():
     assert all(all(b - a > 1 for a, b in zip(s, s[1:])) for s in sets)
     keys = [(len(s), s) for s in sets]
     assert keys == sorted(keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=12), st.data())
+def test_single_frame_walk_matches_the_generator_recursion(g, data):
+    # The walk in one frame yields the (T, N(T)) stream of a chain of
+    # generator frames, item for item, at every size, with no cap and
+    # with a cap drawn from 0 to n.
+    caps = [None, data.draw(st.integers(min_value=0, max_value=g.n))]
+    for k in range(g.n + 2):
+        for cap in caps:
+            walk = list(_independent_of_size(g, k, cap))
+            assert walk == list(independent_of_size_recursive(g, k, cap)), (g, k, cap)
+
+
+def test_single_frame_walk_matches_the_generator_recursion_exhaustively():
+    # Every graph with n <= 5, at every size and every cap.
+    for g in exhaustive_graphs(5):
+        for k in range(g.n + 2):
+            for cap in (None, *range(g.n + 1)):
+                walk = list(_independent_of_size(g, k, cap))
+                assert walk == list(independent_of_size_recursive(g, k, cap)), (g, k, cap)
 
 
 def test_max_independent_set_tiebreak_and_size():

@@ -308,6 +308,40 @@ def test_search_matches_composition_walk_on_hand_built_systems(system):
         assert interior_lattice_points(system, q) == lattice_points_by_composition(system, q, strict=True)
 
 
+def _recomputed_fields(index: _SearchIndex) -> tuple[int, int, int, int]:
+    # The four values the index records, from `listed`, `balance` and
+    # `last_n` alone: the least 2q, the first coordinate that ends an N
+    # (n - 1 if none), and the least balance of a constraint with an N and
+    # of one without (n + 1 if none).
+    n = len(index.listed)
+    with_n = [b for b, last in zip(index.balance, index.last_n) if last >= 0]
+    without_n = [b for b, last in zip(index.balance, index.last_n) if last < 0]
+    count = sum(index.listed)
+    least_2q = max([count] + [count - b + 1 for b in with_n])
+    start = min((last for last in index.last_n if last >= 0), default=n - 1)
+    return least_2q, start, min(with_n, default=n + 1), min(without_n, default=n + 1)
+
+
+def _fields(index: _SearchIndex) -> tuple[int, int, int, int]:
+    return index.least_2q, index.start, index.least_balance_n, index.least_balance_no_n
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hand_built_systems())
+def test_index_fields_match_their_recomputation_on_hand_built_systems(system):
+    index = system._search_index
+    assert _fields(index) == _recomputed_fields(index)
+
+
+def test_index_fields_match_their_recomputation_on_cones():
+    # Every graph with n <= 6 and an edge, then the oracle's sparse inputs.
+    for g in _oracle_inputs():
+        if g.m:
+            coords, pairs = _cone_constraints(g)
+            index = _index_masks(g.n + 1, mask_of(coords), pairs)
+            assert _fields(index) == _recomputed_fields(index), g
+
+
 def test_oracle_builds_the_lists_of_two_coordinates(monkeypatch):
     # On a cone every set constraint but {apex}'s ends its N at the apex,
     # and {apex}'s at vertex n, so the search starts at vertex n with every
@@ -510,6 +544,22 @@ def test_mask_native_oracle_matches_the_dilation_loop():
     for n in range(7, 12):
         assert len({q for m, q in cells if m == n}) >= 4, sorted(cells)
     assert digest.hexdigest() == ORACLE_DIGEST
+
+
+# sha256 of (n, edges, regular vertices, sorted (T, N) mask pairs) of
+# `_cone_constraints` over every graph with n <= 6 and an edge, one repr per
+# line, recorded before single-option components were folded out of the
+# product.
+CONE_PAIRS_DIGEST = "bbc63bda265e24d6ed2b13608ac00eb1ff283b04844ab0a96e48fc428f992b04"
+
+
+def test_cone_constraints_keep_their_pair_set():
+    digest = hashlib.sha256()
+    for g in exhaustive_graphs(6):
+        if g.m:
+            coords, pairs = _cone_constraints(g)
+            digest.update(repr((g.n, g.edges, coords, sorted(pairs))).encode() + b"\n")
+    assert digest.hexdigest() == CONE_PAIRS_DIGEST
 
 
 def test_interior_frozen_for_cone_of_triangle():

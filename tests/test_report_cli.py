@@ -674,6 +674,22 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     assert "loop" in err
 
 
+@pytest.mark.parametrize("command", ["classify", "regularity"])
+@pytest.mark.parametrize("comment", ["", "# sent to the line walk\n"])
+@pytest.mark.parametrize(
+    "n,edges", [("10000000000000", "0\n"), ("99999999999999999999", "1\n1 2\n")]
+)
+def test_cli_vertex_count_past_the_limit_exits_2(command, comment, n, edges, tmp_path, capsys):
+    # A vertex count no adjacency list can hold is an input error, not a
+    # corpus failure: exit 2, with the count named on stderr.
+    big = tmp_path / "big.txt"
+    big.write_text(f"{comment}{n} {edges}", encoding="utf-8")
+    assert main([command, str(big)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: vertex count {n} exceeds VERTEX_LIMIT = 10000000\n"
+
+
 def test_cli_polytope_needs_odd_cycle(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("3 0\n", encoding="utf-8")
