@@ -3,7 +3,10 @@
 Commands: classify, gen, regularity, ged, polytope, corpus.  Exit codes:
 0 success, 1 corpus assertion failure, 2 usage or input errors, 3 internal
 invariant failures, 141 (128 + SIGPIPE, with nothing on stderr) when standard
-output is closed before the output is written, as by `| head -1`.
+output is closed before the output is written, as by `| head -1`.  The
+`reesreg` script and `python -m reesreg` both call `run`, which also
+flushes standard output, so a short output that a closed pipe refuses at
+the flush exits 141 too.
 
 `main` hands the words after a command's name straight to that command's
 own parser, so a well-formed call is parsed once, not twice (the top-level
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -276,5 +280,21 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> int:
+    """The `reesreg` script and `python -m reesreg`: `main` on sys.argv,
+    then a flush of standard output, so that a reader that went away shows
+    as EXIT_BROKEN_PIPE with nothing on stderr.  `main` neither flushes
+    nor redirects standard output, so an in-process caller keeps its own."""
+    try:
+        status = main()
+        sys.stdout.flush()  # a short output is still buffered here
+    except BrokenPipeError:
+        status = EXIT_BROKEN_PIPE
+    if status == EXIT_BROKEN_PIPE:
+        # So that the flush at exit cannot raise again ("Note on SIGPIPE", signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -161,8 +161,9 @@ class Graph:
         return bool(self.adj_bits[u] >> v & 1)
 
     def _check_vertex(self, v: int) -> None:
-        if not (1 <= v <= self.n):
-            raise ValueError(f"vertex {v} not in 1..{self.n}")
+        # A vertex is an int label, as in the constructor: not a bool, not a float.
+        if type(v) is not int or not 1 <= v <= self.n:
+            raise ValueError(f"vertex {v!r} not in 1..{self.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +423,12 @@ def induced_subgraph(g: Graph, labels: Iterable[int]) -> tuple[Graph, dict[int, 
     Returns (subgraph, mapping) where mapping sends new labels to the
     original ones.
     """
-    sel = sorted(set(labels))
-    for v in sel:
-        if not (1 <= v <= g.n):
-            raise ValueError(f"vertex {v} not in 1..{g.n}")
+    keep = set()
+    for v in labels:
+        g._check_vertex(v)
+        keep.add(v)
+    sel = sorted(keep)
     new_of = {old: i + 1 for i, old in enumerate(sel)}
-    keep = set(sel)
     edges = [
         (new_of[u], new_of[v]) for u, v in g.edges if u in keep and v in keep
     ]

@@ -381,12 +381,11 @@ def _enumerable_cone_system(g: Graph, q: int) -> HalfSpaceSystem:
 class _SearchIndex(NamedTuple):
     # What the lattice search needs of a system beyond q and strictness, by
     # 0-based coordinate i and constraint number c, for set constraints
-    # whose T and N are disjoint.  The first nine fields come from one pass
+    # whose T and N are disjoint.  The first eight fields come from one pass
     # over the constraints; the five lists per coordinate after them are
     # None until `level` builds them, when a search first enters i.
     listed: tuple[int, ...]  # 1 if x_i >= 0 is listed, else 0
     balance: list[int]  # |N & listed| - |T & listed|
-    last_n: list[int]  # the last coordinate in N, or -1
     rows: list[tuple[int, int, int]]  # (T, N, the last bit of N), as masks
     # Four values the search reads instead of walking the constraints:
     # the two least balances are n + 1, above every balance, when no
@@ -428,7 +427,6 @@ def _index_masks(n: int, listed: int, pairs: Iterable[tuple[int, int]]) -> _Sear
     # and the set constraints (T, N) given as disjoint mask pairs, numbered
     # in order, with no coordinate's lists built yet.
     balance = []
-    last_n = []
     floor_at: list[list[int]] = [[] for _ in range(n)]
     rows = []
     start = n - 1
@@ -438,16 +436,13 @@ def _index_masks(n: int, listed: int, pairs: Iterable[tuple[int, int]]) -> _Sear
         balance.append(b)
         last = nb.bit_length() - 1
         if nb:
-            last_n.append(last - 1)
             floor_at[last - 1].append(c)
             if last <= start:
                 start = last - 1
             if b < least_n:
                 least_n = b
-        else:
-            last_n.append(-1)
-            if b < least_no_n:
-                least_no_n = b
+        elif b < least_no_n:
+            least_no_n = b
         rows.append((t, nb, last))
     is_listed = tuple(listed >> v & 1 for v in range(1, n + 1))
     # With every listed coordinate at 1, 2q covers them all and leaves
@@ -455,7 +450,7 @@ def _index_masks(n: int, listed: int, pairs: Iterable[tuple[int, int]]) -> _Sear
     count = listed.bit_count()
     unbuilt = [None] * n
     return _SearchIndex(
-        is_listed, balance, last_n, rows,
+        is_listed, balance, rows,
         max(count, count - least_n + 1), start, least_n, least_no_n,
         floor_at, unbuilt, unbuilt[:], unbuilt[:], unbuilt[:], unbuilt[:],
     )
@@ -720,8 +715,8 @@ def verify_normality_small(g: Graph, q_max: int = 3) -> bool:
     trivially: its cone polytope is the apex simplex and every dilation
     point splits into apex edges.
     """
-    if q_max < 1 or q_max > NORMALITY_QMAX_LIMIT:
-        raise ValueError(f"q_max must be in 1..{NORMALITY_QMAX_LIMIT}")
+    if not _is_int(q_max) or not 1 <= q_max <= NORMALITY_QMAX_LIMIT:
+        raise ValueError(f"q_max must be an integer in 1..{NORMALITY_QMAX_LIMIT}, got {q_max!r}")
     if g.n > 8:
         raise InstanceTooLargeError("normality check limited to n <= 8")
     if g.m == 0:

@@ -57,13 +57,12 @@ cycle.
      The search carries the union of the set's non-bipartite components:
      an odd cycle left after an extension lies inside it.
    Within a start s the tests run cheapest and most telling first: the
-   count of later vertices beyond N[s]; whether s lies in a non-bipartite
-   block, once the blocks are known; then the odd part of G[later - N[s]]
-   (the union of its non-bipartite components).  Only when that part is
-   empty is G[later] tested, to stop the starts if it is bipartite; a
-   non-empty part already shows that it is not.  At the first start with
-   a non-empty part come stage 2b's first try and then the block pass,
-   and paths grow from s only inside its blocks.
+   count of later vertices beyond N[s], then the odd part of
+   G[later - N[s]] (the union of its non-bipartite components).  Only when
+   that part is empty is G[later] tested, to stop the starts if it is
+   bipartite; a non-empty part already shows that it is not.  At the first
+   start with a non-empty part come stage 2b and then the block pass, and
+   paths grow from s only inside its blocks.
    The search is still exponential in the worst case, so it raises
    InstanceTooLargeError after OCC_STEP_LIMIT induced paths.
    The core check comes first: a 2-core that is 2-regular is one cycle,
@@ -71,20 +70,17 @@ cycle.
    bipartite.  The graph passes; the search would leave a path, which is
    bipartite, after its first start and stop there with no path grown.
 
-2b. Refute from the far side, at most twice, before stage 3 grows its
-   first path.  At a start s where G[later - N[s]] has an odd cycle, the
-   BFS of the odd part of G[later - N[s]] closes an odd walk W' in its
-   first component, and the graph fails when G[K - N[W']] is not
-   bipartite.  This is stage 2's argument again: W' lies in K and holds an
-   odd cycle C', N[C'] lies in N[W'], and every odd cycle lies in K.  So
-   the test is sound at any start.  It is tried at the first start with an
-   odd part, before the block pass, which a refuted graph then never pays
-   for; and again at the first start that grows paths, when that is a
-   later start.  A violation that stage 3 would find only after many
-   paths often shows here at once.  Each try can only refute, and a
-   passing graph is never refuted, so its answer and the paths its search
-   grew do not change; a failing graph fails either way and grows at most
-   the paths it grew before.
+2b. Refute from the far side, once, before stage 3 grows its first path.
+   At the first start s where G[later - N[s]] has an odd cycle, the BFS of
+   the odd part of G[later - N[s]] closes an odd walk W' in its first
+   component, and the graph fails when G[K - N[W']] is not bipartite.
+   This is stage 2's argument again: W' lies in K and holds an odd cycle
+   C', N[C'] lies in N[W'], and every odd cycle lies in K.  So the test is
+   sound at any start.  It is tried before the block pass, which a refuted
+   graph then never pays for.  A violation that stage 3 would find only
+   after many paths often shows here at once.  The try only refutes, and
+   a passing graph is never refuted, so a passing graph keeps its answer
+   and the paths its search grew.
 """
 
 from __future__ import annotations
@@ -300,8 +296,6 @@ def _chordless_search(g: Graph, comp: int) -> tuple[bool, int]:
     # is built at the first start with an odd part beyond N[s], which on a
     # dense graph is often none.
     in_block = None
-    # The start of stage 2b's first try, until its second try is decided.
-    far_start = None
 
     def shrink(live: int, w: int) -> int:
         # The odd part of g[far - N[w]], where `live` is that of g[far].
@@ -319,8 +313,6 @@ def _chordless_search(g: Graph, comp: int) -> tuple[bool, int]:
         # An odd cycle beyond N[s] needs three vertices there.
         if (above & ~s_adj).bit_count() < 3:
             continue
-        if in_block is not None and not in_block[s] & above:
-            continue
         live = _odd_part(g, above & ~s_adj)
         if not live:
             # Only now can g[above] be bipartite.
@@ -328,10 +320,9 @@ def _chordless_search(g: Graph, comp: int) -> tuple[bool, int]:
                 break
             continue
         if in_block is None:
-            # Stage 2b's first try, before the block pass.
+            # Stage 2b, before the block pass.
             if _far_side_refutes(g, comp, live):
                 return False, 0
-            far_start = s
             in_block = [0] * (g.n + 1)
             for block in _blocks(g, comp):
                 if not mask_is_bipartite(g, block):
@@ -340,14 +331,6 @@ def _chordless_search(g: Graph, comp: int) -> tuple[bool, int]:
                         in_block[(rest & -rest).bit_length() - 1] |= block
                         rest &= rest - 1
         inside = in_block[s] & above
-        if not inside:
-            continue
-        if far_start is not None:
-            # Stage 2b's second try, before the first path grows, unless
-            # the first was made at this start.
-            if far_start != s and _far_side_refutes(g, comp, live):
-                return False, 0
-            far_start = None
         # Induced paths s, v1, ..., last, each as (last, v1, path mask,
         # closed neighborhood of the vertices strictly between s and last,
         # vertex count, odd part of g[above - N[path]]).

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -276,6 +277,27 @@ def test_parse_reports_the_first_fault_in_file_order(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("9" * 5000 + " 0\n", "line 1: header must be two integers"),
+        ("3 1\n1 " + "9" * 5000 + "\n", "line 2: edge line must be two integers"),
+    ],
+)
+def test_parse_names_a_number_past_the_int_digit_limit(text, message):
+    # int() refuses a decimal past 4,300 digits, Python's default limit.  The
+    # column read returns None on it, and the line walk names the line.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert graphs_module._parse_bulk(text) is None
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(err.value) == message
+
+
 def test_write_graph_canonical_form():
     g = Graph.from_edges(4, [(3, 4), (2, 1)])
     assert write_graph(g) == "4 2\n1 2\n3 4\n"
@@ -507,6 +529,26 @@ def test_induced_subgraph_mapping():
     dedup, _ = induced_subgraph(g, (1, 1, 3))
     assert dedup.n == 2
     assert dedup.edges == ((1, 2),)
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda g: g.degree(True), True),
+        (lambda g: g.degree(1.0), 1.0),
+        (lambda g: g.neighbors(2.0), 2.0),
+        (lambda g: g.has_edge(1.5, 2), 1.5),
+        (lambda g: neighbor_set(g, [2.0]), 2.0),
+        (lambda g: induced_subgraph(g, [1.0, 2]), 1.0),
+        (lambda g: induced_subgraph(g, [1, True]), True),
+    ],
+)
+def test_vertex_arguments_take_only_int_labels(call, value):
+    # The constructor's rule for labels: a bool is not vertex 1, and a
+    # float is refused by a ValueError that names it, not a bare TypeError
+    # or a mapping onto a float label.
+    with pytest.raises(ValueError, match=rf"^vertex {value!r} not in 1\.\.5$"):
+        call(cycle(5))
 
 
 def test_induced_subgraph_on_all_vertices_is_identity():

@@ -308,17 +308,23 @@ def test_search_matches_composition_walk_on_hand_built_systems(system):
         assert interior_lattice_points(system, q) == lattice_points_by_composition(system, q, strict=True)
 
 
+def _last_n(index: _SearchIndex) -> list[int]:
+    # Per constraint, its last N coordinate (0-based), or -1 when N is empty.
+    return [last - 1 if nb else -1 for _, nb, last in index.rows]
+
+
 def _recomputed_fields(index: _SearchIndex) -> tuple[int, int, int, int]:
-    # The four values the index records, from `listed`, `balance` and
-    # `last_n` alone: the least 2q, the first coordinate that ends an N
-    # (n - 1 if none), and the least balance of a constraint with an N and
-    # of one without (n + 1 if none).
+    # The four values the index records, from `listed`, `balance` and each
+    # constraint's last N coordinate alone: the least 2q, the first
+    # coordinate that ends an N (n - 1 if none), and the least balance of a
+    # constraint with an N and of one without (n + 1 if none).
     n = len(index.listed)
-    with_n = [b for b, last in zip(index.balance, index.last_n) if last >= 0]
-    without_n = [b for b, last in zip(index.balance, index.last_n) if last < 0]
+    last_n = _last_n(index)
+    with_n = [b for b, last in zip(index.balance, last_n) if last >= 0]
+    without_n = [b for b, last in zip(index.balance, last_n) if last < 0]
     count = sum(index.listed)
     least_2q = max([count] + [count - b + 1 for b in with_n])
-    start = min((last for last in index.last_n if last >= 0), default=n - 1)
+    start = min((last for last in last_n if last >= 0), default=n - 1)
     return least_2q, start, min(with_n, default=n + 1), min(without_n, default=n + 1)
 
 
@@ -485,7 +491,7 @@ def _renumbered(index: _SearchIndex) -> tuple:
     # The index up to the numbering of its set constraints: the listed
     # coordinates, and per constraint its balance, its last N coordinate
     # and the coordinates at which each list holds it, in sorted order.
-    sig = [[b, last] for b, last in zip(index.balance, index.last_n)]
+    sig = [[b, last] for b, last in zip(index.balance, _last_n(index))]
     _built(index)
     per_coordinate = (index.floor_at, index.plus, index.minus, index.spend, index.spend2, index.cap)
     for per_i in per_coordinate:
@@ -826,6 +832,10 @@ def test_verify_normality_guards():
         verify_normality_small(cycle(3), q_max=5)
     with pytest.raises(InstanceTooLargeError):
         verify_normality_small(Graph.from_edges(9, [(1, 2)]))
+    # As for a dilation, a bool or a float is not taken as an int.
+    for q_max in (True, 2.5):
+        with pytest.raises(ValueError, match=rf"^q_max must be an integer in 1\.\.4, got {q_max!r}$"):
+            verify_normality_small(cycle(3), q_max)
 
 
 def test_verify_normality_examples():

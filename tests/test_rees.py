@@ -574,6 +574,44 @@ def test_stage_3_order_keeps_answers_and_passing_searches(monkeypatch):
     assert refuted > 20
 
 
+def _sparse_pool() -> list[Graph]:
+    # 3,000 seeded sparse G(n, c/n) with n = 7..200 and c in [1, 4].
+    rng = random.Random(28)
+    graphs = []
+    for _ in range(3000):
+        n = rng.randint(7, 200)
+        c = rng.uniform(1.0, 4.0)
+        graphs.append(random_graph(n, min(1.0, c / n), seed=rng.randrange(1 << 30)))
+    return graphs
+
+
+# The sha256 of the repr of the list of (answer, steps) that
+# `_odd_cycle_condition` returned on the pool above while stage 2b could
+# still be tried a second time, at the first start that grew paths.  Only
+# graphs 412 and 1976 were seen to reach that try, and both pass.
+_SPARSE_POOL_DIGEST = "8ed5de539d5801b9a5afc81dfc9dfe452f5622755540222035f00151a7957e67"
+
+
+def test_stage_2b_is_tried_at_most_once_and_keeps_every_answer(monkeypatch):
+    tries = []
+    far = rees._far_side_refutes
+
+    def recorded(*args):
+        tries.append(far(*args))
+        return tries[-1]
+
+    monkeypatch.setattr(rees, "_far_side_refutes", recorded)
+    sparse = _sparse_pool()
+    found = []
+    for g in _stage_3_pool() + sparse:
+        del tries[:]
+        found.append(rees._odd_cycle_condition(g))
+        assert len(tries) <= 1, g
+    found = found[-len(sparse):]
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == _SPARSE_POOL_DIGEST
+    assert (found[412], found[1976]) == ((True, 3), (True, 8))
+
+
 def test_odd_cycle_condition_step_budget(monkeypatch, tmp_path, capsys):
     # Passes the first two stages and grows 6 induced paths in the third.
     g = random_graph(14, 0.2, seed=138)

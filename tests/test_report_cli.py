@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from reesreg import (
     Graph,
     InstanceTooLargeError,
     InternalInvariantError,
+    OracleResult,
     RegularityStatus,
     build_report,
     complete,
@@ -31,7 +33,7 @@ from reesreg import (
     tutte_berge_witness,
     write_graph,
 )
-from reesreg import cli, matching, polytope, rees
+from reesreg import cli, corpus, matching, polytope, rees
 from reesreg.cli import main
 from reesreg.corpus import (
     EXHAUSTIVE_N_LIMIT,
@@ -546,6 +548,26 @@ def test_check_graph_runs_the_oracle_up_to_its_limit():
     assert not check_graph(path(1)).oracle_skipped
 
 
+def test_check_graph_reports_each_failure(monkeypatch):
+    # No graph makes the two routes disagree, so each check is made to
+    # fail by a stand-in for its second route: a brute-force search that
+    # finds no witness, then an oracle that certifies one more than the
+    # closed form's reg = 3 (q0 = 5 on the cone of the paper example).
+    g = paper_example()
+    monkeypatch.setattr(corpus, "tutte_berge_bruteforce", lambda g: None)
+    (failure,) = check_graph(g).failures
+    assert failure == CorpusFailure(
+        n=7, edges=g.edges, check="tutte_berge", detail="fast says True, brute-force witness is None"
+    )
+    monkeypatch.undo()
+    wrong = OracleResult(q0=4, interior_witness=(1,) * 8, reg=4)
+    monkeypatch.setattr(corpus, "run_oracle", lambda g, reg: (wrong, None))
+    (failure,) = check_graph(g).failures
+    assert failure == CorpusFailure(
+        n=7, edges=g.edges, check="regularity", detail="formula says 3, oracle says 4 (q0=4)"
+    )
+
+
 def test_cli_corpus_skips_the_oracle_past_its_limit(capsys):
     # Six computed graphs have n >= 12, so their cone graphs are past the
     # ambient guard: the sweep counts them and still checks the rest.
@@ -907,6 +929,48 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "3 3\n1 2\n1 3\n2 3\n"
+
+
+def _script_target() -> tuple[str, str]:
+    # The module and function that pyproject.toml's `reesreg` script calls.
+    root = Path(__file__).resolve().parents[1]
+    scripts = (root / "pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]\n", 1)[1]
+    target = scripts.split("reesreg = ", 1)[1].split("\n", 1)[0]
+    module, function = json.loads(target).split(":")
+    return module, function
+
+
+def test_the_script_and_the_module_call_one_entry_function():
+    # `python -m reesreg` runs `sys.exit(f())` for the f that it imports
+    # from the module the script names, and the script calls that f too.
+    module, function = _script_target()
+    source = (Path(cli.__file__).parent / "__main__.py").read_text(encoding="utf-8")
+    assert f"from .{module.split('.', 1)[1]} import {function}\n" in source
+    assert source.endswith(f"sys.exit({function}())\n")
+
+
+@pytest.mark.parametrize("form", ["module", "script"])
+def test_entry_points_exit_141_on_a_closed_pipe(form, tmp_path):
+    # The read end is closed before the child starts, and the child's
+    # stdout is buffered, so the short report first meets the closed pipe
+    # at a flush.  Both entry points must exit 128 + SIGPIPE with nothing
+    # on stderr.  The script is run as the wrapper an install generates.
+    module, function = _script_target()
+    entry = {
+        "module": ["-m", "reesreg"],
+        "script": ["-c", f"import sys; from {module} import {function}; sys.exit({function}())"],
+    }[form]
+    spec = _write(tmp_path, "c3.txt", cycle(3))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *entry, "classify", spec], stdout=write, stderr=subprocess.PIPE, env=env
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
 
 
 def test_readme_command_line_examples_are_current(tmp_path, monkeypatch, capsys):
