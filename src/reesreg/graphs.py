@@ -11,6 +11,7 @@ values.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -301,6 +302,7 @@ def write_graph(g: Graph) -> str:
 
 def cycle(k: int) -> Graph:
     """Cycle C_k, k >= 3."""
+    (k,) = _parameters("cycle", k)
     if k < 3:
         raise ValueError(f"cycle needs k >= 3, got {k}")
     edges = [(i, i + 1) for i in range(1, k)] + [(1, k)]
@@ -309,6 +311,7 @@ def cycle(k: int) -> Graph:
 
 def path(k: int) -> Graph:
     """Path on k vertices (k - 1 edges), k >= 1."""
+    (k,) = _parameters("path", k)
     if k < 1:
         raise ValueError(f"path needs k >= 1, got {k}")
     return Graph.from_edges(k, [(i, i + 1) for i in range(1, k)])
@@ -316,6 +319,7 @@ def path(k: int) -> Graph:
 
 def complete(k: int) -> Graph:
     """Complete graph K_k, k >= 1."""
+    (k,) = _parameters("complete", k)
     if k < 1:
         raise ValueError(f"complete needs k >= 1, got {k}")
     return Graph.from_edges(k, [(u, v) for u in range(1, k + 1) for v in range(u + 1, k + 1)])
@@ -323,6 +327,7 @@ def complete(k: int) -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """Complete bipartite graph K_{a,b}; sides are 1..a and a+1..a+b."""
+    a, b = _parameters("complete-bipartite", a, b)
     if a < 0 or b < 0:
         raise ValueError("sides must be >= 0")
     edges = [(u, a + w) for u in range(1, a + 1) for w in range(1, b + 1)]
@@ -336,6 +341,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     scanned in lexicographic order and pair {u, v} is kept when the next
     draw is < p, so the graph is reproducible across runs and platforms.
     """
+    n, p, seed = _parameters("random", n, p, seed)
     if n < 0:
         raise ValueError("n must be >= 0")
     if not (0.0 <= p <= 1.0):
@@ -352,6 +358,7 @@ def _gnp(n: int, p: float, rng: random.Random) -> Graph:
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union; the second graph's labels are shifted by g1.n."""
+    g1, g2 = _parameters("disjoint-union", g1, g2)
     shift = g1.n
     edges = list(g1.edges) + [(u + shift, v + shift) for u, v in g2.edges]
     return Graph.from_edges(g1.n + g2.n, edges)
@@ -381,21 +388,18 @@ _GENERATORS = {
 _KIND_NAMES = {int: "an integer", float: "a number", Graph: "a Graph"}
 
 
-def _parameter(family: str, name: str, kind: type, x: object) -> object:
-    # One parameter of `family` as its type: a value of that type (an int
-    # also serves as a float, a bool as neither), or a number's literal as
-    # the CLI passes it.  Anything else, such as 3.9 for an int, is refused,
-    # not rounded.  A Graph comes only as itself; the CLI reads it from a
-    # file.
-    exact = (int, float) if kind is float else kind
-    if isinstance(x, exact) and not isinstance(x, bool):
-        return float(x) if kind is float else x
-    if isinstance(x, str) and kind is not Graph:
-        try:
-            return kind(x)
-        except ValueError:
-            pass
-    raise ValueError(f"{family} parameter {name} must be {_KIND_NAMES[kind]}, got {x!r}")
+def _parameters(family: str, *values: object) -> list:
+    # The parameters of `family`, each as the type _GENERATORS gives it: a
+    # value of that type is taken (an int also serves as a float, a bool as
+    # neither).  Anything else, such as 3.9 for an int, is refused, not
+    # rounded.  Every generator checks its own parameters here.
+    out = []
+    for (name, kind), x in zip(_GENERATORS[family][1], values):
+        exact = (int, float) if kind is float else kind
+        if not isinstance(x, exact) or isinstance(x, bool):
+            raise ValueError(f"{family} parameter {name} must be {_KIND_NAMES[kind]}, got {x!r}")
+        out.append(float(x) if kind is float else x)
+    return out
 
 
 GENERATOR_FAMILIES = tuple(_GENERATORS)
@@ -410,7 +414,15 @@ def generate(family: str, *params) -> Graph:
     if len(params) != len(spec):
         names = " ".join(p for p, _ in spec) or "no parameters"
         raise ValueError(f"{name} takes {names}")
-    return make(*(_parameter(name, p, kind, x) for (p, kind), x in zip(spec, params)))
+    # A number's literal, as the CLI passes it, becomes that number; the
+    # generator checks every parameter.  A Graph comes only as itself.
+    args = []
+    for (_, kind), x in zip(spec, params):
+        if isinstance(x, str) and kind is not Graph:
+            with contextlib.suppress(ValueError):
+                x = kind(x)
+        args.append(x)
+    return make(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -179,8 +179,8 @@ def _strict_somewhere(adj: Sequence[int], t: int, nb: int) -> bool:
     # Does some edge have more ends in nb than in t, so that sum_t x <=
     # sum_nb x is strict at its polytope vertex e_u + e_v?  Exactly when an
     # end u lies in nb - t and the other end is in nb or outside t.  The
-    # ends are tried from the top bit down: in a cone the apex comes first
-    # and settles it.
+    # ends are tried from the top bit down: on a cone graph the apex comes
+    # first and settles it.
     outside = ~(t & ~nb)
     m = nb & ~t
     while m:
@@ -269,23 +269,28 @@ def _cone_options(g: Graph, comp: int, bipartite: bool) -> list[tuple[int, int]]
 
 def _cone_constraints(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
     # The cone graph's regular vertices and its fundamental sets T with
-    # N(T), as mask pairs in no particular order, read off g and checked by
-    # the implicit-equality guard.  The apex is adjacent to every vertex of
-    # g, so in the cone graph: B(T) is connected for every nonempty
-    # independent T, and what is left after deleting T u N(T) is g - N_g[T]
-    # (or nothing, for T = {apex}).  So the fundamental sets are {apex} and
-    # the nonempty independent T of g with no bipartite component in
-    # g - N_g[T]; that test splits over the components of g, and N(T) is
-    # N_g(T) plus the apex.  A vertex v of g is regular when g - v keeps an
-    # edge (the cone minus v is connected, and an edge plus the apex is a
-    # triangle); the apex is regular when no component of g is bipartite.
+    # N(T), as mask pairs in no particular order, read off g.  The apex is
+    # adjacent to every vertex of g, so in the cone graph: B(T) is
+    # connected for every nonempty independent T, and what is left after
+    # deleting T u N(T) is g - N_g[T] (or nothing, for T = {apex}).  So the
+    # fundamental sets are {apex} and the nonempty independent T of g with
+    # no bipartite component in g - N_g[T]; that test splits over the
+    # components of g, and N(T) is N_g(T) plus the apex.  A vertex v of g is
+    # regular when g - v keeps an edge (the cone minus v is connected, and
+    # an edge plus the apex is a triangle); the apex is regular when no
+    # component of g is bipartite.
+    #
+    # The implicit-equality guard of halfspace_system would find nothing:
+    # every cone vertex has a neighbor.  A row T inside V(g) has the apex
+    # in N, and as T is independent and g has an edge, some vertex of g is
+    # outside T: its edge to the apex is strict.  The row {apex} has
+    # N = V(g), which holds both ends of an edge of g.
     m = g.m
     if not m:
         raise NoOddCycleError("half-space description needs an odd cycle")
     apex = g.n + 1
     apex_bit = 1 << apex
     adj_g = g.adj_bits
-    adj = [0] + [a | apex_bit for a in adj_g[1:]] + [g.full_mask]
     components = list(_bfs(g, g.full_mask))
     coords = tuple(v for v in g.vertices if m > adj_g[v].bit_count())
     if not any(bipartite for _, _, bipartite in components):
@@ -311,7 +316,6 @@ def _cone_constraints(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, int]]]
             nb |= part_nb
         if t:
             pairs.append((t, nb))
-    _guard(adj, coords, pairs)
     return coords, pairs
 
 
@@ -381,19 +385,17 @@ def _enumerable_cone_system(g: Graph, q: int) -> HalfSpaceSystem:
 class _SearchIndex(NamedTuple):
     # What the lattice search needs of a system beyond q and strictness, by
     # 0-based coordinate i and constraint number c, for set constraints
-    # whose T and N are disjoint.  The first eight fields come from one pass
+    # whose T and N are disjoint.  The first seven fields come from one pass
     # over the constraints; the five lists per coordinate after them are
     # None until `level` builds them, when a search first enters i.
     listed: tuple[int, ...]  # 1 if x_i >= 0 is listed, else 0
     balance: list[int]  # |N & listed| - |T & listed|
     rows: list[tuple[int, int, int]]  # (T, N, the last bit of N), as masks
-    # Four values the search reads instead of walking the constraints:
-    # the two least balances are n + 1, above every balance, when no
-    # constraint of their kind exists.
+    # Three values the search reads instead of walking the constraints;
+    # the least balance is n + 1, above every balance, when no N is empty.
     least_2q: int  # the least 2q the precheck of _search can pass
     start: int  # the first coordinate that ends an N, or n - 1 if none
-    least_balance_n: int  # the least balance of a constraint with an N
-    least_balance_no_n: int  # the least balance of one with an empty N
+    least_balance_no_n: int  # the least balance of a row with an empty N
     # The bound each c puts on the next value e_i (see _search).
     floor_at: list[list[int]]  # e_i >= -slack: i is the last of N
     plus: list[list[int] | None]  # the c with i in N
@@ -405,8 +407,6 @@ class _SearchIndex(NamedTuple):
     def level(self, i: int) -> None:
         # Build coordinate i's five lists, filing each constraint by its
         # bit tests; a later search on the same index reuses them.
-        if self.plus[i] is not None:
-            return
         v = i + 1
         bit = 1 << v
         p, m, s, s2, cp = [], [], [], [], []
@@ -451,7 +451,7 @@ def _index_masks(n: int, listed: int, pairs: Iterable[tuple[int, int]]) -> _Sear
     unbuilt = [None] * n
     return _SearchIndex(
         is_listed, balance, rows,
-        max(count, count - least_n + 1), start, least_n, least_no_n,
+        max(count, count - least_n + 1), start, least_no_n,
         floor_at, unbuilt, unbuilt[:], unbuilt[:], unbuilt[:], unbuilt[:],
     )
 
@@ -510,19 +510,23 @@ def _search(index: _SearchIndex, n: int, q: int, strict: bool) -> Iterator[Latti
     # 0.  That is the value the search would give them: no such level has
     # a floor, and with no value placed yet the precheck's slack + excess
     # >= 0 (slack >= 0 for an empty N) keeps each of its tops at 0 or
-    # more.  A skipped level's top is computed, and its lists built, only
-    # when the search backs up into it; every level after it is then done
-    # and undone, so slack and its budget are what they were on entry.
+    # more.  A back-up past `start` makes the level before it `start` and
+    # enters it again from 1, the step up from 0: it has no floor, left[i]
+    # is still the excess and every later level is undone, so the entry
+    # computes the top it would have had.  Each level's lists are built at
+    # its first entry.
     mins = list(index.listed) if strict else [0] * n
     excess = UNIT_COORDINATE_SUM * q - sum(mins)
-    if not n or excess < 0:
+    if not n:
         return
     # The precheck: no completion exists when some slack + excess, or the
     # slack alone for an empty N, is negative.  Each slack starts at
-    # low * (balance - 1), so the least balance of each kind decides it,
-    # and without `strict` every slack starts at 0.
+    # low * (balance - 1), so the least balance of each kind decides it.
+    # Under `strict` the excess is 2q - |listed|, so an excess >= 0 that
+    # every row with an N passes is exactly 2q >= least_2q.  Without
+    # `strict` every slack starts at 0 and the excess 2q is positive.
     if strict:
-        if index.least_balance_n - 1 + excess < 0 or index.least_balance_no_n - 1 < 0:
+        if UNIT_COORDINATE_SUM * q < index.least_2q or index.least_balance_no_n < 1:
             return
         slack = [b - 1 for b in index.balance]
     else:
@@ -535,16 +539,17 @@ def _search(index: _SearchIndex, n: int, q: int, strict: bool) -> Iterator[Latti
     upper = [0] * n
     left = [excess] * n
     last = n - 1
-    # Levels start..deep have their lists built.
-    i = start = deep = index.start
-    index.level(i)
+    i = start = index.start
+    lo = 0
     while True:
-        # Enter level i: the interval of values its bounds allow.
+        # Enter level i: the interval of values its bounds allow, from lo
+        # up (lo is 1 on a level entered again past `start`, else 0).
+        if plus[i] is None:
+            index.level(i)
         budget = left[i]
-        lo = 0
         bound = floor_at[i]
         if bound:
-            lo = max(0, -min(map(get, bound)))
+            lo = max(lo, -min(map(get, bound)))
         hi = budget
         bound = spend[i]
         if bound:
@@ -570,50 +575,36 @@ def _search(index: _SearchIndex, n: int, q: int, strict: bool) -> Iterator[Latti
             prefix[i] = mins[i] + lo
             left[i + 1] = budget - lo
             i += 1
-            if i > deep:
-                deep = i
-                index.level(i)
+            lo = 0
             continue
         # Back up to the deepest level with a value left in its interval,
-        # undoing the slack of each level it leaves.
+        # undoing the slack of each level it leaves, and step that level up
+        # by 1; past `start`, enter the level before it again at 1.
         while True:
             i -= 1
             if i < start:
                 if i < 0:
                     return
                 start = i
-                upper[i] = _skipped_top(index, i, slack, excess)
+                lo = 1
+                break
             e = value[i]
             if e < upper[i]:
+                for c in plus[i]:
+                    slack[c] += 1
+                for c in minus[i]:
+                    slack[c] -= 1
+                value[i] = e + 1
+                prefix[i] += 1
+                left[i + 1] -= 1
+                i += 1
+                lo = 0
                 break
             if e:
                 for c in plus[i]:
                     slack[c] -= e
                 for c in minus[i]:
                     slack[c] += e
-        for c in plus[i]:
-            slack[c] += 1
-        for c in minus[i]:
-            slack[c] -= 1
-        value[i] = e + 1
-        prefix[i] += 1
-        left[i + 1] -= 1
-        i += 1
-
-
-def _skipped_top(index: _SearchIndex, i: int, slack: list[int], budget: int) -> int:
-    # The top of level i's interval as _search computes it on entry, for a
-    # level it skipped at 0: there is no floor, and no value is placed yet.
-    index.level(i)
-    get = slack.__getitem__
-    hi = budget
-    if index.spend[i]:
-        hi = min(hi, budget + min(map(get, index.spend[i])))
-    if index.spend2[i]:
-        hi = min(hi, (budget + min(map(get, index.spend2[i]))) // 2)
-    if index.cap[i]:
-        hi = min(hi, min(map(get, index.cap[i])))
-    return hi
 
 
 def lattice_points(system: HalfSpaceSystem, q: int) -> tuple[LatticePoint, ...]:

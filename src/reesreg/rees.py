@@ -17,12 +17,14 @@ so dropping them keeps the components, their bipartiteness and every odd
 cycle.
 
 1. A bipartite graph has no odd cycle, so it passes.
-1b. One cycle.  When K, the first non-bipartite component, is 2-regular,
-   it is one cycle, odd as K is not bipartite.  Only leaves hang off it,
-   each by a single edge, so it is the only cycle of its component of G.
-   The components before K were found bipartite, so G passes exactly when
-   the components after K are bipartite.  Stage 2's walk covers the whole
-   cycle, so it refutes exactly those graphs; stage 3 would grow no path.
+1b. One cycle.  The 2-core of K, the first non-bipartite component, is
+   built here, and stage 3 runs on it.  When that core is one cycle, it is
+   the only cycle of K, odd as K is not bipartite.  The components before
+   K were found bipartite, and a vertex of degree <= 1 joins no two
+   components, so G passes exactly when the components after K are
+   bipartite.  Stage 2's walk contains the cycle, so it refutes exactly
+   those graphs; stage 3 would leave a path, which is bipartite, after its
+   first start and grow none.
 2. Refute first.  The BFS layers of the first non-bipartite component close
    a short odd closed walk W (2k + 1 edges; `graphs._odd_walk`, which also
    gives `bipartite_check` its walk, and gives this stage its vertices as
@@ -65,10 +67,6 @@ cycle.
    paths grow from s only inside its blocks.
    The search is still exponential in the worst case, so it raises
    InstanceTooLargeError after OCC_STEP_LIMIT induced paths.
-   The core check comes first: a 2-core that is 2-regular is one cycle,
-   so K has one cycle, and stage 2 has shown every other component
-   bipartite.  The graph passes; the search would leave a path, which is
-   bipartite, after its first start and stop there with no path grown.
 
 2b. Refute from the far side, once, before stage 3 grows its first path.
    At the first start s where G[later - N[s]] has an odd cycle, the BFS of
@@ -168,16 +166,13 @@ def _odd_cycle_condition(g: Graph) -> tuple[bool, int]:
         seen |= comp
     else:
         return True, 0
-    if _is_cycle(g, comp):
-        # Stage 1b: comp is one odd cycle; a later component may hold another.
-        return mask_is_bipartite(g, cyclic & ~seen & ~comp), 0
-    if _walk_refutes(g, layers, cyclic & ~seen):
-        return False, 0
     loose = comp & neighbor_mask(g, g.full_mask & ~cyclic)
     core = _two_core(g, comp, loose)
     if _is_cycle(g, core):
-        # The core check of stage 3: K has one cycle.
-        return True, 0
+        # Stage 1b: comp has one cycle, odd; a later component may hold another.
+        return mask_is_bipartite(g, cyclic & ~seen & ~comp), 0
+    if _walk_refutes(g, layers, cyclic & ~seen):
+        return False, 0
     return _chordless_search(g, core)
 
 

@@ -518,6 +518,35 @@ def test_generate_dispatch():
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "make, family, args, message",
+    [
+        (cycle, "cycle", (5.0,), "cycle parameter k must be an integer, got 5.0"),
+        (complete, "complete", (3.0,), "complete parameter k must be an integer, got 3.0"),
+        (path, "path", (2.5,), "path parameter k must be an integer, got 2.5"),
+        (path, "path", (True,), "path parameter k must be an integer, got True"),
+        (
+            complete_bipartite, "complete-bipartite", (True, 2),
+            "complete-bipartite parameter a must be an integer, got True",
+        ),
+        (random_graph, "random", (5.0, 0.5, 1), "random parameter n must be an integer, got 5.0"),
+        (random_graph, "random", (5, 0.5, 1.5), "random parameter seed must be an integer, got 1.5"),
+        (random_graph, "random", (5, True, 1), "random parameter p must be a number, got True"),
+        (
+            disjoint_union, "disjoint-union", (cycle(3), 2),
+            "disjoint-union parameter g2 must be a Graph, got 2",
+        ),
+    ],
+)
+def test_generators_check_their_own_parameters(make, family, args, message):
+    # Called directly or through generate, a generator refuses a parameter
+    # that is not exactly of its type by the same message.
+    for call in (lambda: make(*args), lambda: generate(family, *args)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_induced_subgraph_mapping():
     g = paper_example()
     sub, back = induced_subgraph(g, (3, 4, 5))

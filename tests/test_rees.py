@@ -388,16 +388,14 @@ def _raises(*args):
 
 
 def test_one_cycle_is_decided_before_stages_2_and_3(monkeypatch):
-    # A 2-regular first non-bipartite component is answered in stage 1b,
-    # from the components after it; a 2-core that is one cycle before
-    # stage 3 starts.
+    # A first non-bipartite component whose 2-core is one cycle, with or
+    # without trees hanging off it, is answered in stage 1b, from the
+    # components after it.
     monkeypatch.setattr(rees, "_chordless_search", _raises)
-    walks = []
-    monkeypatch.setattr(rees, "_walk_refutes", lambda *args: walks.append(args))
+    monkeypatch.setattr(rees, "_walk_refutes", _raises)
     trees = _one_cycle(9, "trees", random.Random(3))
     assert rees._odd_cycle_condition(disjoint_union(trees, path(4))) == (True, 0)
-    assert len(walks) == 1
-    monkeypatch.setattr(rees, "_walk_refutes", _raises)
+    assert rees._odd_cycle_condition(disjoint_union(trees, complete(3))) == (False, 0)
     assert rees._odd_cycle_condition(disjoint_union(cycle(7), path(5))) == (True, 0)
     assert rees._odd_cycle_condition(disjoint_union(path(5), cycle(7))) == (True, 0)
     assert rees._odd_cycle_condition(disjoint_union(cycle(7), complete(3))) == (False, 0)
@@ -446,6 +444,19 @@ def _grid_with_hub() -> Graph:
     return Graph.from_edges(82, edges)
 
 
+def _grid_with_triangles() -> Graph:
+    # The 7 x 7 grid on 1..49, row by row, and the triangles {50, 51, 52}
+    # and {53, 54, 55}, joined by the edge 50-53 and hung off the grid by
+    # the one edge 49-51.  The grid's vertices start stage 3, and only the
+    # block pass keeps their paths out of the grid, which holds no odd
+    # cycle.
+    edges = [(v, v + 1) for v in range(1, 50) if v % 7]
+    edges += [(v, v + 7) for v in range(1, 43)]
+    edges += [(50, 51), (50, 52), (51, 52), (53, 54), (53, 55), (54, 55)]
+    edges += [(50, 53), (49, 51)]
+    return Graph.from_edges(55, edges)
+
+
 def test_odd_cycle_condition_hard_inputs_within_a_small_budget(monkeypatch):
     # Inputs on which enumerating every chordless odd cycle takes from a
     # tenth of a second to minutes; the pruned search needs few paths.
@@ -453,6 +464,7 @@ def test_odd_cycle_condition_hard_inputs_within_a_small_budget(monkeypatch):
     k50 = complete_bipartite(50, 50)
     plus_edge = Graph.from_edges(100, list(k50.edges) + [(1, 2)])
     hub = _grid_with_hub()
+    triangles = _grid_with_triangles()
     for g, expected in (
         (cycle(321), True),
         (complete(24), True),
@@ -460,12 +472,17 @@ def test_odd_cycle_condition_hard_inputs_within_a_small_budget(monkeypatch):
         (_bipartite_plus_triangle(), True),
         (random_graph(320, 1.5 / 320, seed=1), False),
         (hub, True),
+        (triangles, True),
     ):
         assert satisfies_odd_cycle_condition(g) is expected, g.n
     # The hub has the highest degree, so stage 3 starts there, and the grid
     # after it is bipartite: no path grows.  A search that started in label
     # order would grow more than OCC_STEP_LIMIT = 1,000,000 paths.
     assert hub._facts["occ"] == (True, 0)
+    # The triangles lie in the only non-bipartite blocks, which hold no
+    # grid vertex, so no path grows.  A search that grew paths through the
+    # whole grid would pass OCC_STEP_LIMIT = 1,000,000 paths.
+    assert triangles._facts["occ"] == (True, 0)
 
 
 def test_odd_cycle_condition_refutes_a_late_violation_before_a_path_grows(monkeypatch):
