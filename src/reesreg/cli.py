@@ -8,15 +8,29 @@ output is closed before the output is written, as by `| head -1`.  The
 flushes standard output, so a short output that a closed pipe refuses at
 the flush exits 141 too.
 
-`main` hands the words after a command's name straight to that command's
-own parser, so a well-formed call is parsed once, not twice (the top-level
-parser would only pass them on to the same sub-parser).  An empty argv,
-an unknown first word (an option, a misspelling, a prefix) and words the
-command's parser leaves over go through the top-level parser instead:
-that is the one that prints `usage: reesreg ...` with the command list
-and reports `unrecognized arguments`, so help and usage errors print the
-same bytes as a full parse would.  Every `--json` output is
-`report.write_json`, byte for byte `json.dumps(..., indent=2)`.
+`main` reads a call with the first of three readers that can:
+
+1. The command's table (`_from_table`), built once from the actions its
+   parser was given: the exact option strings of its `store_true` flags
+   and one-value options, its positionals and its defaults.  It answers
+   only when every word is an exact option string or a value that does
+   not start with `-` (or is `-`), every value converts, the positionals
+   are filled exactly and every required option is given.  argparse reads
+   such words the same way (an exact option string is that option, any
+   other word a value, a one-value option takes the next word, positionals
+   fill in order) and finds no error in them, so the table builds the
+   `Namespace` that `parse_known_args` would, without argparse's matcher.
+2. The command's own parser, for every other call: abbreviations,
+   `--q=1`, `--`, negative numbers, `-h`, a missing or bad value, `gen`'s
+   params.  A well-formed call is parsed once, not twice.
+3. The top-level parser, for an empty argv, an unknown first word (an
+   option, a misspelling, a prefix) and words the command's parser leaves
+   over.  It prints `usage: reesreg ...` with the command list and reports
+   `unrecognized arguments`, so help and usage errors print the same
+   bytes as a full parse would.
+
+Every `--json` output is `report.write_json`, byte for byte
+`json.dumps(..., indent=2)`.
 """
 
 from __future__ import annotations
@@ -199,6 +213,74 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK if summary.ok else EXIT_CORPUS_FAILURE
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser.  It keeps the actions that `add_argument`
+    returns, its help action first, for `_table`."""
+
+    def __init__(self, *args, **kwargs):
+        self.arguments: list[argparse.Action] = []
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        self.arguments.append(super().add_argument(*args, **kwargs))
+        return self.arguments[-1]
+
+
+# The actions `_table` mirrors, as (class, nargs): a flag and a one-value option.
+_MIRRORED = {(argparse._StoreTrueAction, 0), (argparse._StoreAction, None)}
+
+
+@functools.cache
+def _table(parser: _CommandParser):
+    """The command's option strings, positionals, defaults and required
+    actions, or None when it has a positional the table cannot mirror or a
+    string default the parser would convert.  An option it cannot mirror
+    (help, `choices`, any other action or nargs) keeps only its default
+    here, so its words go to the parser."""
+    options, positionals, defaults = {}, [], {}
+    for action in parser.arguments:
+        mirrored = action.choices is None and (type(action), action.nargs) in _MIRRORED
+        if isinstance(action.default, str) and action.type is not None:
+            return None
+        if action.default is not argparse.SUPPRESS:
+            defaults[action.dest] = action.default
+        if not action.option_strings:
+            if not mirrored:
+                return None
+            positionals.append(action)
+        elif mirrored:
+            options.update(dict.fromkeys(action.option_strings, action))
+    defaults["func"] = parser.get_default("func")  # last, as the parser sets it
+    return options, positionals, defaults, {action for action in parser.arguments if action.required}
+
+
+def _from_table(parser: _CommandParser, words: list[str]) -> argparse.Namespace | None:
+    """`parser.parse_known_args(words)[0]` when the call is one the table
+    reads (see the module docstring) and leaves no word over, else None."""
+    table = _table(parser)
+    if table is None:
+        return None
+    options, positionals, defaults, required = table
+    values, seen, given, words = dict(defaults), set(), iter(positionals), iter(words)
+    try:
+        for word in words:
+            action = options.get(word)
+            if action is not None and action.nargs == 0:
+                values[action.dest] = action.const
+            else:
+                if action is None:
+                    action = next(given)
+                else:
+                    word = next(words)
+                if word[:1] == "-" and word != "-":
+                    return None
+                values[action.dest] = action.type(word) if action.type else word
+            seen.add(action)
+    except (StopIteration, TypeError, ValueError, argparse.ArgumentTypeError):
+        return None  # a missing value, an extra word or a value that does not convert
+    return argparse.Namespace(**values) if required <= seen else None
+
+
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     # Built once per process and shared by every `main` call: parsing leaves
@@ -211,7 +293,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
             "of an edge ideal, with an edge-polytope cross-check."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("classify", help="full classification report for one graph")
     p.add_argument("graph", help="edge-list file, or - for stdin")
@@ -261,7 +343,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = rest = None
         if argv and argv[0] in commands:
-            args, rest = commands[argv[0]].parse_known_args(argv[1:])
+            command = commands[argv[0]]
+            args = _from_table(command, argv[1:])
+            if args is None:
+                args, rest = command.parse_known_args(argv[1:])
         if args is None or rest:
             # The top-level parser prints help and usage errors; see the module docstring.
             args = parser.parse_args(argv)

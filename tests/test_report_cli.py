@@ -869,6 +869,24 @@ _DISPATCH_TABLE = [
     ["classify", "{g}", "-h"],
     ["gen", "cycle", "2"],
 ]
+# Calls the command's table reads.  classify's JSON carries its timings,
+# which differ from run to run, so its rows print text.
+_TABLE_ROWS = [
+    ["classify", "{g}", "--oracle", "--witness"],
+    ["classify", "--witness", "{g}"],
+    ["classify", "{g}", "--witness", "--witness"],
+    ["polytope", "{g}", "--q", "1", "--q", "2"],
+    ["corpus", "--max-n", "3", "--seed", "2", "--json"],
+]
+# Calls the table refuses, so that the command's parser reads them.
+_REFUSED_ROWS = [
+    ["classify", "{g}", "--wit"],
+    ["polytope", "{g}", "--q=1"],
+    ["polytope", "{g}", "--q", "-1"],
+    ["corpus", "--seed", "-5", "--max-n", "3"],
+    ["regularity", "{g}", "--oracle", "extra"],
+]
+_DISPATCH_TABLE += _TABLE_ROWS + _REFUSED_ROWS
 
 
 @pytest.mark.parametrize("argv", _DISPATCH_TABLE, ids=" ".join)
@@ -883,6 +901,135 @@ def test_cli_dispatch_matches_the_full_parse(argv, tmp_path, monkeypatch, capsys
     monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
     code = main(argv)
     assert dispatched == (code, *capsys.readouterr())
+
+
+def test_cli_builds_each_command_table_once(tmp_path, monkeypatch, capsys):
+    # Fresh parsers, so that every table is built in this test.  A table
+    # is built by reading its parser's actions; later calls read them no more.
+    parser, commands = cli._parsers.__wrapped__()
+    passes = []
+
+    class Counted(list):
+        def __iter__(self):
+            passes.append(self.name)
+            return super().__iter__()
+
+    for name, command in commands.items():
+        command.arguments = Counted(command.arguments)
+        command.arguments.name = name
+    monkeypatch.setattr(cli, "_parsers", lambda: (parser, commands))
+    target = _write(tmp_path, "g.txt", paper_example())
+    calls = [
+        ["classify", target, "--json"],
+        ["classify", target, "--wit"],
+        ["regularity", target],
+        ["ged", target, "--json"],
+        ["polytope", target, "--q", "1"],
+        ["polytope", target, "--q=1"],
+        ["corpus", "--max-n", "2"],
+        ["gen", "cycle", "3"],
+    ]
+    for argv in calls:
+        assert main(argv) == 0
+    built = sorted(passes)
+    assert sorted(set(built)) == sorted(commands)
+    for _ in range(2):
+        for argv in calls:
+            assert main(argv) == 0
+    assert sorted(passes) == built
+
+    # With an empty command table, as test_cli_dispatch_matches_the_full_parse
+    # patches in, no table is read: every argv goes to argparse.
+    def no_table(*args):
+        raise AssertionError("an empty command table reads no table")
+
+    monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
+    monkeypatch.setattr(cli, "_from_table", no_table)
+    capsys.readouterr()
+    for argv in calls:
+        assert main(argv) == 0
+    assert main(["classify", target, "--bogus"]) == 2
+    assert capsys.readouterr().err.startswith("usage: reesreg ")
+    assert sorted(passes) == built
+
+
+# Words drawn for each command: each of its arguments none, one or two
+# times (a required one once more often than not), in any order, as an
+# option string with a value if it takes one; and among them at most one
+# run that argparse treats apart (abbreviations, `--opt=value`, `--`, `-h`,
+# negative numbers, missing values, other words).
+_PLAIN_VALUES = st.sampled_from(["g.txt", "-", "0", "3", " 2", "x", ""])
+_OTHER_VALUES = st.sampled_from(["--", "-1", "-5", "1.5", "-x", "-h", "--bogus"]) | st.text(max_size=3)
+
+
+@st.composite
+def _table_words(draw, command: argparse.ArgumentParser) -> list[str]:
+    runs = []
+    for action in command.arguments[1:]:  # after -h, which comes among the other runs
+        for _ in range(draw(st.sampled_from((1, 1, 0, 2) if action.required else (0, 0, 1, 2)))):
+            run = (draw(st.sampled_from(action.option_strings)),) if action.option_strings else ()
+            runs.append(run + (draw(_PLAIN_VALUES),) * (action.nargs != 0))
+    runs = list(draw(st.permutations(runs)))
+    option = st.sampled_from([option for action in command.arguments for option in action.option_strings])
+    other = st.one_of(
+        st.tuples(_OTHER_VALUES),
+        st.tuples(option, _OTHER_VALUES),
+        st.tuples(option),
+        option.map(lambda o: (o[:-1],)),
+        st.tuples(option, _PLAIN_VALUES | _OTHER_VALUES).map(lambda ov: (f"{ov[0]}={ov[1]}",)),
+    )
+    for run in draw(st.lists(other, max_size=1)):
+        runs.insert(draw(st.integers(0, len(runs))), run)
+    return [word for run in runs for word in run]
+
+
+@pytest.mark.parametrize("name", ["classify", "gen", "regularity", "ged", "polytope", "corpus"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cli_table_builds_the_namespace_of_parse_known_args(name, data):
+    command = cli._parsers()[1][name]
+    words = data.draw(_table_words(command))
+    args = cli._from_table(command, words)
+    if args is not None:
+        expected, rest = command.parse_known_args(words)
+        assert list(vars(args).items()) == list(vars(expected).items())
+        assert rest == []
+
+
+# The bench's classify argv, the README's examples and the CI steps' calls
+# other than `gen`: the table must read each of them, or the gain is lost.
+_DOCUMENTED_CALLS = [
+    ["classify", "g.txt", "--json", "--witness"],
+    ["classify", "c5.g"],
+    ["regularity", "c5.g", "--oracle"],
+    ["ged", "c5.g"],
+    ["polytope", "c5.g", "--q", "3", "--interior"],
+    ["corpus", "--max-n", "4"],
+    ["classify", "g.txt", "--witness"],
+    ["classify", "c.txt", "--witness", "--json"],
+    ["regularity", "hub.txt", "--json"],
+    ["regularity", "k50_50.txt", "--oracle"],
+    ["ged", "c.txt", "--json"],
+    ["polytope", "k11.txt", "--q", "4", "--json"],
+    ["polytope", "k11.txt", "--q", "12"],
+    ["corpus", "--max-n", "14", "--random", "40", "--seed", "1", "--json"],
+    ["corpus", "--max-n", "11", "--random", "20000", "--seed", "2"],
+    ["corpus", "--max-n", "6", "--json"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, table",
+    [(argv, True) for argv in _TABLE_ROWS + _DOCUMENTED_CALLS] + [(argv, False) for argv in _REFUSED_ROWS],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else str(x),
+)
+def test_cli_table_reads_the_calls_it_should(argv, table):
+    command = cli._parsers()[1][argv[0]]
+    words = [a.format(g="g.txt") for a in argv[1:]]
+    args = cli._from_table(command, words)
+    assert (args is not None) is table
+    if table:
+        assert args == command.parse_known_args(words)[0]
 
 
 def test_cli_well_formed_call_skips_the_top_level_parser(monkeypatch, capsys):
